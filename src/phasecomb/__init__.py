@@ -18,7 +18,7 @@ from .antenna import (AntennaPattern, BurstResponses, builtin_pattern,
 from .errors import (DegenerateGeometry, DegenerateSamples, DomainX,
                      EmptyPattern, MalformedRow, NonMonotonicAzimuth,
                      NonPositiveC1, NonPositiveDistance, PhasecombError,
-                     PositivityViolation, ValidityViolation)
+                     PositivityViolation, TooFewPackets, ValidityViolation)
 from .experiments import (SweepResult, a_omega_range, loss_curve,
                           pl_slope_losses, speed_sweep, threshold_distance)
 from .geometry import (ScenarioParams, aoa_exact, carrier_wavelength,
@@ -26,12 +26,12 @@ from .geometry import (ScenarioParams, aoa_exact, carrier_wavelength,
                        transmitter_distance)
 from .pathloss import (PathlossModel, distance_at, dump_pathloss_config,
                        load_pathloss_config, mean_path_gain, validity_horizon)
-from .snr import (DEFAULT_Y_GRID, DESIGN_SNR_SCALE, affine_coefficients,
-                  c_ratio_squared, check_optimality, design_rule_alpha_star,
-                  f1, f2, in_severe_set, in_zero_loss_set, interval_loss_bound,
+from .snr import (DESIGN_SNR_SCALE, affine_coefficients, c_ratio_squared,
+                  check_optimality, design_rule_alpha_star, f1, f2,
+                  in_severe_set, in_zero_loss_set, interval_loss_bound,
                   j_affine, j_direct, loss, loss_bounds, loss_values,
-                  optimal_slope_set, sum_snr_combined, sum_snr_omega,
-                  sum_snr_phi, sum_snr_pl, worst_case_y, worst_case_y_scan)
+                  min_cross_term, optimal_slope_set, sum_snr_combined,
+                  sum_snr_omega, sum_snr_phi, sum_snr_pl, worst_case_y)
 from .validation import CheckResult, run_validation
 
 __version__ = "0.1.0"

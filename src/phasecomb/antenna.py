@@ -17,7 +17,6 @@ from functools import cached_property
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import geometry
 from .errors import EmptyPattern, MalformedRow, NonMonotonicAzimuth
@@ -92,28 +91,24 @@ def combined_mean_gain(pattern0: AntennaPattern, pattern1: AntennaPattern, phi):
     return 0.5 * (m0 ** 2 + m1 ** 2)
 
 
-def worst_case_aoa(pattern0: AntennaPattern, pattern1: AntennaPattern,
-                   grid_step_deg: float = 0.05) -> float:
-    """AOA minimizing the combined mean gain, in [0, 2 pi).
-
-    Dense grid scan followed by a bounded local refinement; exact ties keep
-    the smallest angle (the refinement is only accepted when it strictly
-    improves on the grid).
-    """
-    n = int(round(360.0 / grid_step_deg))
-    grid = np.arange(n) * (TWO_PI / n)
-    vals = combined_mean_gain(pattern0, pattern1, grid)
-    i = int(np.argmin(vals))
-    step = TWO_PI / n
-
-    def objective(phi: float) -> float:
-        return combined_mean_gain(pattern0, pattern1, phi)
-
-    res = minimize_scalar(objective, bounds=(grid[i] - step, grid[i] + step),
-                          method="bounded", options={"xatol": 1e-12})
-    if res.fun < vals[i]:
-        return float(np.mod(res.x, TWO_PI))
-    return float(grid[i])
+def worst_case_aoa(pattern0: AntennaPattern, pattern1: AntennaPattern) -> float:
+    """AOA minimizing the combined mean gain, in [0, 2 pi); ties keep the
+    smallest angle.  Between the merged azimuth nodes of both patterns each
+    magnitude is linear, so the gain is a convex quadratic on each segment
+    (wraparound included), minimal at its vertex clipped to the segment or,
+    on a flat segment, at its start."""
+    nodes = np.unique(np.concatenate(([0.0, TWO_PI], pattern0.azimuth, pattern1.azimuth)))
+    m = np.array([pattern0.evaluate(nodes)[0], pattern1.evaluate(nodes)[0]])
+    d = np.diff(m)
+    curvature = np.sum(d * d, axis=0)
+    vertex = np.divide(-np.sum(m[:, :-1] * d, axis=0), curvature,
+                       out=np.zeros_like(curvature), where=curvature > 0.0)
+    t = np.clip(vertex, 0.0, 1.0)
+    # (1 - t) a + t b lands exactly on the node values at t = 0 and t = 1
+    g = (1.0 - t) * m[:, :-1] + t * m[:, 1:]
+    i = int(np.argmin(g[0] * g[0] + g[1] * g[1]))
+    phi = (1.0 - t[i]) * nodes[i] + t[i] * nodes[i + 1]
+    return float(phi) if phi < TWO_PI else 0.0
 
 
 @dataclass(frozen=True, eq=False)

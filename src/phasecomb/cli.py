@@ -27,6 +27,14 @@ def _default_out(filename: str) -> str:
     return os.path.join(os.environ.get(ENV_OUT_DIR, "."), filename)
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for steps and intervals: a finite number above zero."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
 def _resolve_pattern(spec: str) -> antenna.AntennaPattern:
     if spec in _BUILTIN_PATTERNS:
         return antenna.builtin_pattern(spec)
@@ -186,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, default_csv):
         p.add_argument("--packets", "--K", type=int, default=10,
                        help="packets per burst (default 10)")
-        p.add_argument("--interval", "--T", type=float, default=0.1,
+        p.add_argument("--interval", "--T", type=_positive_float, default=0.1,
                        help="packet interval in seconds (default 0.1)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded in the output metadata")
@@ -197,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "loss_curve.csv")
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=0.0)
-    p.add_argument("--step", type=float, default=1e-3,
+    p.add_argument("--step", type=_positive_float, default=1e-3,
                    help="x grid step in radians")
     p.set_defaults(func=_cmd_loss_curve)
 
@@ -209,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="antenna separation in meters (default 10 wavelengths)")
     p.add_argument("--dx-min", type=float, default=1.0)
     p.add_argument("--dx-max", type=float, default=100.0)
-    p.add_argument("--dx-step", type=float, default=1.0)
+    p.add_argument("--dx-step", type=_positive_float, default=1.0)
     p.add_argument("--dv-max", type=float, default=60.0, help="speed range [km/h]")
-    p.add_argument("--dv-step", type=float, default=1.0)
+    p.add_argument("--dv-step", type=_positive_float, default=1.0)
     p.add_argument("--dy-set", type=float, nargs="+", default=[-4.0, 4.0],
                    help="lateral offsets to cover [m]")
     p.set_defaults(func=_cmd_a_omega_range)
@@ -229,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="take the worst case over these lateral offsets [m]")
     p.add_argument("--dv-min", type=float, default=-60.0)
     p.add_argument("--dv-max", type=float, default=60.0)
-    p.add_argument("--dv-step", type=float, default=1.0)
+    p.add_argument("--dv-step", type=_positive_float, default=1.0)
     p.add_argument("--slopes", default="1,star",
                    help="comma list of slope indices q or 'star' (default '1,star')")
     p.add_argument("--paths", default="exact,affine",
@@ -255,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design-rule", help="print the robust slope choice")
     p.add_argument("--packets", "--K", type=int, default=10)
-    p.add_argument("--interval", "--T", type=float, default=0.1)
+    p.add_argument("--interval", "--T", type=_positive_float, default=0.1)
     p.set_defaults(func=_cmd_design_rule)
 
     p = sub.add_parser("validate", help="run the invariant self-checks")

@@ -43,3 +43,7 @@ class DomainX(PhasecombError):
 
 class NonPositiveC1(PhasecombError):
     """Mean per-packet weight c1 must be strictly positive."""
+
+
+class TooFewPackets(PhasecombError):
+    """A burst quantity asked for fewer than two packets."""

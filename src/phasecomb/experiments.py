@@ -127,8 +127,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
                 model: pathloss.PathlossModel | None = None,
                 patterns: tuple[antenna.AntennaPattern, antenna.AntennaPattern] | None = None,
                 paths: tuple[str, ...] = ("exact", "affine"),
-                d_y_values=None, t0: float | None = None,
-                n_grid: int = snr.DEFAULT_Y_GRID) -> SweepResult:
+                d_y_values=None, t0: float | None = None) -> SweepResult:
     """Worst-case sum-SNR versus relative speed, in dB, per slope and path.
 
     mode is one of omega|pl|phi|combined.  Values are worst case over
@@ -145,18 +144,14 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     offsets = (base.d_y,) if d_y_values is None else tuple(d_y_values)
 
     def evaluate(slope, scen, use_exact, zero_loss=False):
+        kwargs = {"use_exact": use_exact, "zero_loss": zero_loss}
         if mode == "omega":
-            return snr.sum_snr_omega(slope, scen, use_exact=use_exact, t0=t0,
-                                     n_grid=n_grid, zero_loss=zero_loss)
+            return snr.sum_snr_omega(slope, scen, t0=t0, **kwargs)
         if mode == "pl":
-            return snr.sum_snr_pl(slope, scen, model, use_exact=use_exact,
-                                  t0=t0, n_grid=n_grid, zero_loss=zero_loss)
+            return snr.sum_snr_pl(slope, scen, model, t0=t0, **kwargs)
         if mode == "phi":
-            return snr.sum_snr_phi(slope, scen, *patterns, use_exact=use_exact,
-                                   n_grid=n_grid, zero_loss=zero_loss)
-        return snr.sum_snr_combined(slope, scen, model, *patterns,
-                                    use_exact=use_exact, t0=t0, n_grid=n_grid,
-                                    zero_loss=zero_loss)
+            return snr.sum_snr_phi(slope, scen, *patterns, **kwargs)
+        return snr.sum_snr_combined(slope, scen, model, *patterns, t0=t0, **kwargs)
 
     series: dict[str, np.ndarray] = {}
     for label in slopes:

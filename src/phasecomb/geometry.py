@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DegenerateGeometry
 
 TWO_PI = 2.0 * math.pi
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the meter
 
 
 def kmh_to_mps(speed_kmh: float) -> float:

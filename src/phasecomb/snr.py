@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import affine, antenna, geometry, pathloss
-from .errors import DomainX, NonPositiveC1
+from .errors import DomainX, NonPositiveC1, TooFewPackets
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,9 +54,6 @@ _SERIES_TOL = 1e-3
 
 # pi minus its float value: tail of a two-term split used near poles.
 _PI_TAIL = 1.2246467991473532e-16
-
-# Grid size for the brute-force search over the offset phase y.
-DEFAULT_Y_GRID = 100_000
 
 # Transmit power over noise power, 23 dBm - (-95 dBm) = 118 dB.
 DESIGN_SNR_SCALE = 10.0 ** 11.8
@@ -153,7 +150,7 @@ def loss(x: float, c1: float, c2: float, n_packets: int) -> float:
     1 on the severe set; off it, R(x) / (c1 n) with
     R = sqrt((c1 f1)^2 + (c2 f2)^2).  Weights must average positive.
     """
-    if c1 <= 0.0:
+    if not c1 > 0.0:
         raise NonPositiveC1("mean per-packet weight must be positive")
     if in_severe_set(x):
         return 1.0
@@ -163,7 +160,7 @@ def loss(x: float, c1: float, c2: float, n_packets: int) -> float:
 
 def loss_values(x, c1: float, c2: float, n_packets: int) -> np.ndarray:
     """Vectorized loss over an array of x; severe points evaluate to 1."""
-    if c1 <= 0.0:
+    if not c1 > 0.0:
         raise NonPositiveC1("mean per-packet weight must be positive")
     x = np.asarray(x, dtype=float)
     n = n_packets
@@ -215,6 +212,8 @@ def interval_loss_bound(n_packets: int) -> float:
     """Loss ceiling for constant weights when x is kept at least pi / n away
     from the severe set: max of 1 / (n sin(x)) over [pi/n, (n-1) pi/n],
     attained at the interval edges."""
+    if n_packets < 2:
+        raise TooFewPackets("the interval [pi/n, (n-1) pi/n] needs n >= 2")
     return 1.0 / (n_packets * math.sin(math.pi / n_packets))
 
 
@@ -263,7 +262,7 @@ def worst_case_y(x: float, c1: float, c2: float,
     Returns (y_min, j_min) with y_min in [0, 2 pi).  When the cross term
     vanishes identically (c2 = 0 and f1(x) = 0) the convention is (0, 0).
     """
-    if c1 <= 0.0:
+    if not c1 > 0.0:
         raise NonPositiveC1("mean per-packet weight must be positive")
     n = n_packets
     if in_severe_set(x):
@@ -277,21 +276,12 @@ def worst_case_y(x: float, c1: float, c2: float,
     return y_min, -r
 
 
-def worst_case_y_scan(weights, phases, n_grid: int = DEFAULT_Y_GRID) -> tuple[float, float]:
-    """Brute-force minimum over a y grid of sum_k w_k cos(theta_k - y).
-
-    Works for arbitrary per-packet weights and phases; this is what the
-    exact (non-affine) evaluation paths use.  The sum is expanded once into
-    its cos(y) / sin(y) components, so the scan costs O(K + n_grid).
-    """
-    weights = np.asarray(weights, dtype=float)
-    phases = np.asarray(phases, dtype=float)
-    y = np.arange(n_grid) * (TWO_PI / n_grid)
-    cw = float(np.sum(weights * np.cos(phases)))
-    sw = float(np.sum(weights * np.sin(phases)))
-    vals = cw * np.cos(y) + sw * np.sin(y)
-    i = int(np.argmin(vals))
-    return float(y[i]), float(vals[i])
+def min_cross_term(weights, phases) -> float:
+    """Minimum over the offset y of sum_k w_k cos(theta_k - y), for any
+    weights and phases: the sum is C cos(y) + S sin(y) with C = sum w cos(theta)
+    and S = sum w sin(theta), so its minimum is -hypot(C, S)."""
+    return -math.hypot(float(np.sum(weights * np.cos(phases))),
+                       float(np.sum(weights * np.sin(phases))))
 
 
 def optimal_slope_set(n_packets: int, t_interval: float) -> np.ndarray:
@@ -340,14 +330,13 @@ def check_optimality(slopes: Sequence[float], n_packets: int,
 
 def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,
                   use_exact: bool = True, t0: float | None = None,
-                  n_grid: int = DEFAULT_Y_GRID,
                   zero_loss: bool = False) -> float:
     """Worst-case sum-SNR with only the branch phase difference varying.
 
     Normalized by n_packets, so 1.0 means no combining loss.  The exact
-    path scans the offset phase with the true per-packet phase difference;
-    the affine path linearizes it around t0 (default mid-burst) and uses
-    the closed form.
+    path takes the worst offset of the true per-packet phase difference;
+    the affine path linearizes it around t0 (default mid-burst).  Both
+    paths minimize over the offset in closed form.
     """
     n = scen.n_packets
     if zero_loss:
@@ -355,8 +344,7 @@ def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,
     if use_exact:
         tk = scen.packet_times()
         theta = geometry.omega_exact(scen, tk) - slope * tk
-        _, j_min = worst_case_y_scan(np.ones(n), theta, n_grid)
-        return (n + j_min) / n
+        return (n + min_cross_term(np.ones(n), theta)) / n
     model = affine.taylor_omega(scen, t0)
     x = 0.5 * (slope - model.slope) * scen.t_interval
     return 1.0 - loss(x, 1.0, 0.0, n)
@@ -365,7 +353,7 @@ def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,
 def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
                model: pathloss.PathlossModel, *, use_exact: bool = True,
                fit: str = "taylor", t0: float | None = None,
-               n_grid: int = DEFAULT_Y_GRID, zero_loss: bool = False) -> float:
+               zero_loss: bool = False) -> float:
     """Worst-case sum-SNR with the mean path gain varying over the burst.
 
     Normalized by n_packets times the path gain at t = 0, so 1.0 means a
@@ -382,8 +370,7 @@ def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
         if zero_loss:
             return float(np.sum(w)) / norm
         theta = geometry.omega_exact(scen, tk) - slope * tk
-        _, j_min = worst_case_y_scan(w, theta, n_grid)
-        return (float(np.sum(w)) + j_min) / norm
+        return (float(np.sum(w)) + min_cross_term(w, theta)) / norm
     if fit == "taylor":
         pg = affine.taylor_pathgain(model, scen, t0)
     elif fit == "least_squares":
@@ -403,7 +390,7 @@ def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
 def sum_snr_phi(slope: float, scen: geometry.ScenarioParams,
                 pattern0: antenna.AntennaPattern, pattern1: antenna.AntennaPattern, *,
                 use_exact: bool = True, phi0_offset: float | None = None,
-                n_grid: int = DEFAULT_Y_GRID, zero_loss: bool = False) -> float:
+                zero_loss: bool = False) -> float:
     """Worst-case sum-SNR with only the angle of arrival varying.
 
     The burst is normalized by n_packets times the worst-case (over AOA)
@@ -424,8 +411,7 @@ def sum_snr_phi(slope: float, scen: geometry.ScenarioParams,
     if use_exact:
         w = resp.mag0 * resp.mag1
         theta = (resp.phase0 - resp.phase1) - slope * tk
-        _, j_min = worst_case_y_scan(w, theta, n_grid)
-        return (gain_term + j_min) / norm
+        return (gain_term + min_cross_term(w, theta)) / norm
     dphase = affine.fit_antenna_phase_diff(resp)
     product = affine.fit_antenna_gain_product(resp, strict=True)
     x = 0.5 * (slope - dphase.slope) * scen.t_interval
@@ -440,7 +426,6 @@ def sum_snr_combined(slope: float, scen: geometry.ScenarioParams,
                      use_exact: bool = True, t0: float | None = None,
                      phi0_offset: float | None = None,
                      snr_scale: float = DESIGN_SNR_SCALE,
-                     n_grid: int = DEFAULT_Y_GRID,
                      zero_loss: bool = False) -> float:
     """Worst-case sum-SNR with phase difference, path gain and AOA all varying.
 
@@ -464,8 +449,7 @@ def sum_snr_combined(slope: float, scen: geometry.ScenarioParams,
             return snr_scale * gain_term
         w = pl_w * resp.mag0 * resp.mag1
         theta = geometry.omega_exact(scen, tk) + (resp.phase0 - resp.phase1) - slope * tk
-        _, j_min = worst_case_y_scan(w, theta, n_grid)
-        return snr_scale * (gain_term + j_min)
+        return snr_scale * (gain_term + min_cross_term(w, theta))
     om = affine.taylor_omega(scen, t0)
     pg = affine.taylor_pathgain(model, scen, t0)
     dphase = affine.fit_antenna_phase_diff(resp)
@@ -476,5 +460,4 @@ def sum_snr_combined(slope: float, scen: geometry.ScenarioParams,
         return snr_scale * gain_term
     w = pl_aff * product(tk)
     theta = om(tk) + dphase(tk) - slope * tk
-    _, j_min = worst_case_y_scan(w, theta, n_grid)
-    return snr_scale * (gain_term + j_min)
+    return snr_scale * (gain_term + min_cross_term(w, theta))

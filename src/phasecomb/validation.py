@@ -16,6 +16,7 @@ from . import affine, geometry, snr
 from .errors import PositivityViolation, ValidityViolation
 
 TWO_PI = 2.0 * math.pi
+Y_SCAN_GRID = 100_000  # grid size of the brute-force search over the offset y
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,20 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def worst_case_y_scan(weights, phases, n_grid: int = Y_SCAN_GRID) -> tuple[float, float]:
+    """Brute-force minimum over a y grid of sum_k w_k cos(theta_k - y), the
+    oracle for the closed-form minima.  The sum is expanded once into its
+    cos(y) / sin(y) components, so the scan costs O(K + n_grid)."""
+    weights = np.asarray(weights, dtype=float)
+    phases = np.asarray(phases, dtype=float)
+    y = np.arange(n_grid) * (TWO_PI / n_grid)
+    cw = float(np.sum(weights * np.cos(phases)))
+    sw = float(np.sum(weights * np.sin(phases)))
+    vals = cw * np.cos(y) + sw * np.sin(y)
+    i = int(np.argmin(vals))
+    return float(y[i]), float(vals[i])
 
 
 def _sample_x(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -69,9 +84,9 @@ def _check_worst_y_vs_scan(rng: np.random.Generator) -> CheckResult:
         a, b = _sample_weights(rng, n, t)
         c1, c2 = snr.affine_coefficients(a, b, n, t)
         _, j_closed = snr.worst_case_y(x, c1, c2, n)
-        _, j_scan = snr.worst_case_y_scan(b + a * np.arange(n) * t,
-                                          2.0 * x * np.arange(n))
-        bound = 2.0 * (TWO_PI / snr.DEFAULT_Y_GRID) ** 2 * c1 * n
+        _, j_scan = worst_case_y_scan(b + a * np.arange(n) * t,
+                                      2.0 * x * np.arange(n))
+        bound = 2.0 * (TWO_PI / Y_SCAN_GRID) ** 2 * c1 * n
         gap = j_scan - j_closed  # scan can only overshoot the true minimum
         ok = ok and (-1e-12 <= gap <= bound)
         worst_margin = max(worst_margin, gap - bound)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phasecomb import (AntennaPattern, EmptyPattern, MalformedRow,
                        NonMonotonicAzimuth, ScenarioParams, aoa_exact,
@@ -113,6 +115,28 @@ def test_worst_case_aoa_against_dense_scan():
     diff = min(abs(got - grid[i]), TWO_PI - abs(got - grid[i]),
                abs((TWO_PI - got) - grid[i]))
     assert diff < 2.0 * (TWO_PI / 720_000) + 1e-6
+
+
+lobe = st.fixed_dictionaries({
+    "boresight_deg": st.floats(min_value=0.0, max_value=359.0),
+    "front_dbi": st.floats(min_value=-5.0, max_value=10.0),
+    "back_dbi": st.floats(min_value=-40.0, max_value=-5.0),
+    "n_points": st.integers(min_value=3, max_value=400),
+})
+
+
+@given(lobe0=lobe, lobe1=lobe)
+@settings(max_examples=40, deadline=None)
+def test_worst_case_aoa_exact_on_unaligned_grids(lobe0, lobe1):
+    # different node counts put the two grids' breakpoints apart, so the
+    # merged segments differ from either pattern's own
+    assume(lobe0["n_points"] != lobe1["n_points"])
+    p0, p1 = single_lobe_pattern(**lobe0), single_lobe_pattern(**lobe1)
+    got = worst_case_aoa(p0, p1)
+    assert 0.0 <= got < TWO_PI
+    grid = np.linspace(0.0, TWO_PI, 720_001)
+    dense = float(np.min(combined_mean_gain(p0, p1, grid)))
+    assert combined_mean_gain(p0, p1, got) <= dense + 1e-12
 
 
 def test_worst_case_aoa_patch_pair_finds_broadside_null():

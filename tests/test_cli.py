@@ -129,6 +129,23 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["loss-curve", "--step", "0"],
+    ["speed-sweep", "--dv-step", "0"],
+    ["a-omega-range", "--dv-step", "-1"],
+    ["a-omega-range", "--dx-step", "-1"],
+    ["design-rule", "--T", "0"],
+    ["loss-curve", "--interval", "nan"],
+], ids=["step", "dv-step", "a-omega-dv-step", "dx-step", "T", "interval"])
+def test_nonpositive_steps_exit_two_with_usage(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + (["--out", str(tmp_path / "x.csv")]
+                        if argv[0] != "design-rule" else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "positive" in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["no-such-command"])

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasecomb import (DomainX, NonPositiveC1, affine_coefficients,
-                       c_ratio_squared, check_optimality,
+from phasecomb import (DomainX, NonPositiveC1, TooFewPackets,
+                       affine_coefficients, c_ratio_squared, check_optimality,
                        design_rule_alpha_star, f1, f2, in_severe_set,
                        in_zero_loss_set, interval_loss_bound, j_affine,
                        j_direct, loss, loss_bounds, loss_values,
-                       optimal_slope_set, worst_case_y, worst_case_y_scan)
+                       min_cross_term, optimal_slope_set, worst_case_y)
+from phasecomb.validation import worst_case_y_scan
 
 TWO_PI = 2.0 * math.pi
 
@@ -257,6 +258,11 @@ def test_worst_case_y_rejects_nonpositive_mean_weight():
         worst_case_y(1.0, 0.0, 0.1, 10)
     with pytest.raises(NonPositiveC1):
         loss(1.0, -2.0, 0.0, 10)
+    # NaN fails every comparison, so it must not slip past the check
+    with pytest.raises(NonPositiveC1):
+        worst_case_y(0.3, math.nan, 0.0, 10)
+    with pytest.raises(NonPositiveC1):
+        loss(0.3, math.nan, 0.0, 10)
 
 
 def test_worst_case_y_scan_matches_vector_identity():
@@ -269,6 +275,18 @@ def test_worst_case_y_scan_matches_vector_identity():
     assert j_min == pytest.approx(direct, abs=1e-12)
     amp = math.hypot(float(np.sum(w * np.cos(theta))), float(np.sum(w * np.sin(theta))))
     assert j_min == pytest.approx(-amp, abs=amp * (TWO_PI / 100_000) ** 2)
+
+
+@given(data=st.data(), k=st.integers(min_value=1, max_value=24))
+@settings(max_examples=100, deadline=None)
+def test_min_cross_term_matches_scan_within_curvature_bound(data, k):
+    w = np.array(data.draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
+                                    min_size=k, max_size=k)))
+    theta = np.array(data.draw(st.lists(
+        st.floats(min_value=-1e6, max_value=1e6), min_size=k, max_size=k)))
+    _, j_scan = worst_case_y_scan(w, theta)
+    gap = j_scan - min_cross_term(w, theta)  # the scan can only overshoot
+    assert -1e-12 <= gap <= 2.0 * (TWO_PI / 100_000) ** 2 * float(np.sum(w))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +337,8 @@ def test_loss_values_matches_scalar_everywhere():
 def test_loss_values_rejects_nonpositive_mean_weight():
     with pytest.raises(NonPositiveC1):
         loss_values(np.array([0.5]), 0.0, 0.0, 10)
+    with pytest.raises(NonPositiveC1):
+        loss_values(np.array([0.5]), math.nan, 0.0, 10)
 
 
 def test_loss_bounds_severe_collapse():
@@ -331,6 +351,9 @@ def test_interval_loss_bound_values():
     assert interval_loss_bound(5) == pytest.approx(1.0 / (5.0 * math.sin(math.pi / 5.0)), abs=1e-15)
     assert interval_loss_bound(5) == pytest.approx(0.3402603233408164, abs=1e-12)
     assert interval_loss_bound(10) == pytest.approx(0.3236067977499790, abs=1e-12)
+    for n in (1, 0):
+        with pytest.raises(TooFewPackets):
+            interval_loss_bound(n)
 
 
 def test_interval_loss_bound_dominates_constant_weight_loss():
