@@ -24,8 +24,8 @@ from .experiments import (SweepResult, a_omega_range, loss_curve,
 from .geometry import (ScenarioParams, aoa_exact, carrier_wavelength,
                        kmh_to_mps, omega_exact, propagation_distances,
                        transmitter_distance)
-from .pathloss import (PathlossModel, distance_at, dump_pathloss_config,
-                       load_pathloss_config, mean_path_gain, validity_horizon)
+from .pathloss import (PathlossModel, dump_pathloss_config, load_pathloss_config,
+                       mean_path_gain)
 from .snr import (DESIGN_SNR_SCALE, affine_coefficients, c_ratio_squared,
                   check_optimality, design_rule_alpha_star, f1, f2,
                   in_severe_set, in_zero_loss_set, interval_loss_bound,

@@ -35,19 +35,29 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _packet_count(text: str) -> int:
+    """argparse type for --packets/--K: a burst of at least two packets."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a packet count of at least 2")
+    return value
+
+
 def _resolve_pattern(spec: str) -> antenna.AntennaPattern:
     if spec in _BUILTIN_PATTERNS:
         return antenna.builtin_pattern(spec)
     return antenna.load_pattern_csv(spec)
 
 
-def _scenario(args, d_y: float | None = None, delta_v: float = 0.0) -> geometry.ScenarioParams:
+def _wavelength_spacing(args) -> tuple[float, float]:
+    """Carrier wavelength and antenna spacing (default 10 wavelengths) [m]."""
     wavelength = geometry.carrier_wavelength(args.fc_ghz * 1e9)
-    spacing = 10.0 * wavelength if args.spacing is None else args.spacing
-    return geometry.ScenarioParams(
-        d_x=args.dx, d_y=args.dy if d_y is None else d_y, delta_v=delta_v,
-        delta_a=spacing, wavelength=wavelength,
-        n_packets=args.packets, t_interval=args.interval)
+    return wavelength, 10.0 * wavelength if args.spacing is None else args.spacing
+
+
+def _model(args) -> pathloss.PathlossModel:
+    return (pathloss.load_pathloss_config(args.pathloss_config)
+            if args.pathloss_config else pathloss.PathlossModel())
 
 
 def _parse_slopes(spec: str, n_packets: int, t_interval: float) -> dict[str, float]:
@@ -79,21 +89,18 @@ def _parse_slopes(spec: str, n_packets: int, t_interval: float) -> dict[str, flo
 def _cmd_loss_curve(args) -> int:
     result = experiments.loss_curve(args.packets, c1=args.c1, c2=args.c2,
                                     x_step=args.step)
-    result.metadata["seed"] = args.seed
     result.to_csv(args.out)
     print(f"wrote {args.out} ({len(result.values)} rows)")
     return 0
 
 
 def _cmd_a_omega_range(args) -> int:
-    wavelength = geometry.carrier_wavelength(args.fc_ghz * 1e9)
-    spacing = 10.0 * wavelength if args.spacing is None else args.spacing
+    wavelength, spacing = _wavelength_spacing(args)
     d_x = np.arange(args.dx_min, args.dx_max + 0.5 * args.dx_step, args.dx_step)
     result = experiments.a_omega_range(
         d_x, delta_a=spacing, wavelength=wavelength, n_packets=args.packets,
         t_interval=args.interval, dv_max_kmh=args.dv_max,
         dv_step_kmh=args.dv_step, d_y_values=tuple(args.dy_set))
-    result.metadata["seed"] = args.seed
     for label, bound in (("pi_2", math.pi / 2),
                          ("pi_n", math.pi / args.packets)):
         result.metadata[f"threshold_{label}_m"] = experiments.threshold_distance(
@@ -110,14 +117,13 @@ def _cmd_a_omega_range(args) -> int:
 def _cmd_speed_sweep(args) -> int:
     slopes = _parse_slopes(args.slopes, args.packets, args.interval)
     dv = np.arange(args.dv_min, args.dv_max + 0.5 * args.dv_step, args.dv_step)
-    base = _scenario(args)
-    model = None
-    patterns = None
-    if args.mode in ("pl", "combined"):
-        model = (pathloss.load_pathloss_config(args.pathloss_config)
-                 if args.pathloss_config else pathloss.PathlossModel())
-    if args.mode in ("phi", "combined"):
-        patterns = (_resolve_pattern(args.pattern0), _resolve_pattern(args.pattern1))
+    wavelength, spacing = _wavelength_spacing(args)
+    base = geometry.ScenarioParams(
+        d_x=args.dx, d_y=args.dy, delta_v=0.0, delta_a=spacing, wavelength=wavelength,
+        n_packets=args.packets, t_interval=args.interval)
+    model = _model(args) if args.mode in ("pl", "combined") else None
+    patterns = ((_resolve_pattern(args.pattern0), _resolve_pattern(args.pattern1))
+                if args.mode in ("phi", "combined") else None)
     if args.paths.strip() == "both":
         paths = ("exact", "affine")
     else:
@@ -129,7 +135,6 @@ def _cmd_speed_sweep(args) -> int:
     result = experiments.speed_sweep(
         args.mode, slopes, dv, base, model=model, patterns=patterns,
         paths=paths, d_y_values=d_y_values, t0=args.t0)
-    result.metadata["seed"] = args.seed
     result.to_csv(args.out)
     print(f"wrote {args.out} ({len(result.values)} rows)")
     for label in slopes:
@@ -143,13 +148,10 @@ def _cmd_speed_sweep(args) -> int:
 
 
 def _cmd_pl_losses(args) -> int:
-    model = (pathloss.load_pathloss_config(args.pathloss_config)
-             if args.pathloss_config else pathloss.PathlossModel())
     result = experiments.pl_slope_losses(
-        args.packets, model=model, d_x=args.dx, dv_kmh=args.dv, d_y=args.dy,
+        args.packets, model=_model(args), d_x=args.dx, dv_kmh=args.dv, d_y=args.dy,
         wavelength=geometry.carrier_wavelength(args.fc_ghz * 1e9),
         t_interval=args.interval)
-    result.metadata["seed"] = args.seed
     result.to_csv(args.out)
     print(f"wrote {args.out} ({len(result.values)} rows)")
     for q, floor in zip(result.values, result.series["floor_universal_db"]):
@@ -191,15 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "analog phase-slope combining.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_csv):
-        p.add_argument("--packets", "--K", type=int, default=10,
-                       help="packets per burst (default 10)")
+    def add_common(p, default_csv=None):
+        p.add_argument("--packets", "--K", type=_packet_count, default=10,
+                       help="packets per burst, at least 2 (default 10)")
         p.add_argument("--interval", "--T", type=_positive_float, default=0.1,
                        help="packet interval in seconds (default 0.1)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed recorded in the output metadata")
-        p.add_argument("--out", default=_default_out(default_csv),
-                       help=f"output CSV path (default ${ENV_OUT_DIR} or cwd)")
+        if default_csv:
+            p.add_argument("--out", default=_default_out(default_csv),
+                           help=f"output CSV path (default ${ENV_OUT_DIR} or cwd)")
 
     p = sub.add_parser("loss-curve", help="loss and envelope bounds over x")
     add_common(p, "loss_curve.csv")
@@ -262,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pl_losses)
 
     p = sub.add_parser("design-rule", help="print the robust slope choice")
-    p.add_argument("--packets", "--K", type=int, default=10)
-    p.add_argument("--interval", "--T", type=_positive_float, default=0.1)
+    add_common(p)
     p.set_defaults(func=_cmd_design_rule)
 
     p = sub.add_parser("validate", help="run the invariant self-checks")

@@ -142,16 +142,14 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         raise ValueError(f"mode {mode!r} needs a pair of antenna patterns")
     dv_kmh_values = np.asarray(dv_kmh_values, dtype=float)
     offsets = (base.d_y,) if d_y_values is None else tuple(d_y_values)
-
-    def evaluate(slope, scen, use_exact, zero_loss=False):
-        kwargs = {"use_exact": use_exact, "zero_loss": zero_loss}
-        if mode == "omega":
-            return snr.sum_snr_omega(slope, scen, t0=t0, **kwargs)
-        if mode == "pl":
-            return snr.sum_snr_pl(slope, scen, model, t0=t0, **kwargs)
-        if mode == "phi":
-            return snr.sum_snr_phi(slope, scen, *patterns, **kwargs)
-        return snr.sum_snr_combined(slope, scen, model, *patterns, t0=t0, **kwargs)
+    phi_min = antenna.worst_case_aoa(*patterns) if mode in ("phi", "combined") else None
+    build = {
+        "omega": lambda scen, exact: snr._omega_burst(scen, exact, t0),
+        "pl": lambda scen, exact: snr._pl_burst(scen, model, exact, "taylor", t0),
+        "phi": lambda scen, exact: snr._phi_burst(scen, *patterns, exact, phi_min),
+        "combined": lambda scen, exact: snr._combined_burst(scen, model, *patterns,
+                                                            exact, t0, phi_min),
+    }[mode]
 
     series: dict[str, np.ndarray] = {}
     for label in slopes:
@@ -166,12 +164,14 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         for scen in scens:
             for t in (0.0, scen.burst_window):
                 max_distance = max(max_distance, geometry.transmitter_distance(scen, t))
+        # each (scenario, path) is sampled once and serves every slope
+        bursts = {path: [build(scen, path == "exact") for scen in scens] for path in paths}
         for label, slope in slopes.items():
             for path in paths:
-                val = min(evaluate(slope, scen, path == "exact") for scen in scens)
+                val = min(burst.value(slope) for burst in bursts[path])
                 series[f"{label}_{path}_db"][i] = _to_db(val)
-        ref = min(evaluate(0.0, scen, True, zero_loss=True) for scen in scens)
-        series["reference_db"][i] = _to_db(ref)
+        exact = bursts.get("exact") or [build(scen, True) for scen in scens]
+        series["reference_db"][i] = _to_db(min(b.gain / b.norm for b in exact))
 
     metadata: dict[str, object] = {
         "mode": mode, "d_x_m": base.d_x, "d_y_values_m": list(offsets),
@@ -181,13 +181,11 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     }
     if mode == "combined":
         metadata["affine_path"] = "composed per-factor fits (approximation)"
-    if model is not None:
-        horizon = pathloss.validity_horizon(model)
-        if max_distance > horizon:
-            metadata["pl_validity_exceeded"] = True
-            warnings.warn(
-                f"sweep reaches {max_distance:.1f} m, past the pathloss "
-                f"validity horizon {horizon:.1f} m", stacklevel=2)
+    if model is not None and max_distance > model.validity_m:
+        metadata["pl_validity_exceeded"] = True
+        warnings.warn(
+            f"sweep reaches {max_distance:.1f} m, past the pathloss "
+            f"validity horizon {model.validity_m:.1f} m", stacklevel=2)
     return SweepResult(name=f"speed_sweep_{mode}", independent="delta_v_kmh",
                        values=dv_kmh_values, series=series, metadata=metadata)
 

@@ -53,6 +53,9 @@ class ScenarioParams:
     t_interval: float = 0.1
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.d_x, self.d_y, self.delta_v, self.delta_a,
+                                       self.wavelength, self.t_interval))):
+            raise ValueError("scenario parameters must be finite")
         if self.n_packets < 2:
             raise ValueError("a burst needs at least two packets")
         if self.t_interval <= 0.0:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .errors import NonPositiveDistance
 
 
@@ -53,16 +52,6 @@ def mean_path_gain(model: PathlossModel, distance):
     eff = np.maximum(d, model.d_ref)
     g = model.shadowing_mean * model.ref_gain * (model.d_ref / eff) ** model.exponent
     return float(g) if np.ndim(distance) == 0 else g
-
-
-def distance_at(scen: geometry.ScenarioParams, t):
-    """Transmitter distance from the array center at time t."""
-    return geometry.transmitter_distance(scen, t)
-
-
-def validity_horizon(model: PathlossModel) -> float:
-    """Largest distance the model is calibrated for."""
-    return model.validity_m
 
 
 # JSON config keys for a PathlossModel; a0_log10 is log10 of ref_gain.

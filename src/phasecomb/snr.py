@@ -31,7 +31,7 @@ the slope difference is perturbed by channel dynamics.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -198,6 +198,8 @@ def loss_bounds(x: float, n_packets: int) -> tuple[float, float]:
     constant weights); upper = sqrt((n-1)^2 f1^2 + f2^2) / (n (n-1)) holds
     for any positive affine weights.  On the severe set both collapse to 1.
     """
+    if n_packets < 2:
+        raise TooFewPackets("the loss envelope needs n >= 2")
     if in_severe_set(x):
         return 1.0, 1.0
     n = n_packets
@@ -326,51 +328,50 @@ def check_optimality(slopes: Sequence[float], n_packets: int,
 
 # ---------------------------------------------------------------------------
 # Mode evaluators: worst-case sum-SNR with one channel quantity time-varying.
+# A builder samples one scenario once for every slope; the modes differ only
+# in the per-packet weights w_k and phases theta_k of the cross term.
 # ---------------------------------------------------------------------------
 
-def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,
-                  use_exact: bool = True, t0: float | None = None,
-                  zero_loss: bool = False) -> float:
-    """Worst-case sum-SNR with only the branch phase difference varying.
+class Burst(NamedTuple):
+    """Worst-case sum-SNR at a slope is (gain + cross(slope)) / norm, with
+    cross the minimum over the offset; gain / norm is the zero-loss value."""
 
-    Normalized by n_packets, so 1.0 means no combining loss.  The exact
-    path takes the worst offset of the true per-packet phase difference;
-    the affine path linearizes it around t0 (default mid-burst).  Both
-    paths minimize over the offset in closed form.
-    """
+    gain: float
+    norm: float
+    cross: Callable[[float], float]
+
+    def value(self, slope: float) -> float:
+        return (self.gain + self.cross(slope)) / self.norm
+
+
+def _exact_cross(w, phase, tk) -> Callable[[float], float]:
+    return lambda slope: min_cross_term(w, phase - slope * tk)
+
+
+def _closed_form_cross(c1: float, c2: float, n: int, drift: float,
+                       t_interval: float) -> Callable[[float], float]:
+    # affine weights (c1, c2) under a phase drifting at drift rad/s
+    scale = -c1 * n
+    return lambda slope: scale * loss(0.5 * (slope - drift) * t_interval, c1, c2, n)
+
+
+def _omega_burst(scen, use_exact: bool, t0: float | None) -> Burst:
     n = scen.n_packets
-    if zero_loss:
-        return 1.0
     if use_exact:
         tk = scen.packet_times()
-        theta = geometry.omega_exact(scen, tk) - slope * tk
-        return (n + min_cross_term(np.ones(n), theta)) / n
-    model = affine.taylor_omega(scen, t0)
-    x = 0.5 * (slope - model.slope) * scen.t_interval
-    return 1.0 - loss(x, 1.0, 0.0, n)
+        return Burst(n, n, _exact_cross(np.ones(n), geometry.omega_exact(scen, tk), tk))
+    drift = affine.taylor_omega(scen, t0).slope
+    return Burst(n, n, _closed_form_cross(1.0, 0.0, n, drift, scen.t_interval))
 
 
-def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
-               model: pathloss.PathlossModel, *, use_exact: bool = True,
-               fit: str = "taylor", t0: float | None = None,
-               zero_loss: bool = False) -> float:
-    """Worst-case sum-SNR with the mean path gain varying over the burst.
-
-    Normalized by n_packets times the path gain at t = 0, so 1.0 means a
-    static channel with no combining loss.  When the geometry also moves
-    the phase difference (d_y != 0 with a spread array), that drift is
-    included: exactly on the exact path, via the slope linearized at t0 on
-    the affine path.
-    """
+def _pl_burst(scen, model, use_exact: bool, fit: str, t0: float | None) -> Burst:
     n = scen.n_packets
     tk = scen.packet_times()
     norm = n * pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, 0.0))
     if use_exact:
         w = pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, tk))
-        if zero_loss:
-            return float(np.sum(w)) / norm
-        theta = geometry.omega_exact(scen, tk) - slope * tk
-        return (float(np.sum(w)) + min_cross_term(w, theta)) / norm
+        return Burst(float(np.sum(w)), norm,
+                     _exact_cross(w, geometry.omega_exact(scen, tk), tk))
     if fit == "taylor":
         pg = affine.taylor_pathgain(model, scen, t0)
     elif fit == "least_squares":
@@ -379,85 +380,84 @@ def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
         affine.require_positive(pg, tk)
     else:
         raise ValueError(f"unknown fit method {fit!r}")
-    om = affine.taylor_omega(scen, t0)
-    x = 0.5 * (slope - om.slope) * scen.t_interval
+    drift = affine.taylor_omega(scen, t0).slope
     c1, c2 = affine_coefficients(pg.slope, pg.intercept, n, scen.t_interval)
-    if zero_loss:
-        return c1 * n / norm
-    return c1 * n * (1.0 - loss(x, c1, c2, n)) / norm
+    return Burst(c1 * n, norm, _closed_form_cross(c1, c2, n, drift, scen.t_interval))
+
+
+def _responses(scen, pattern0, pattern1, phi_min: float):
+    # Shift the AOA trajectory so the first packet arrives from phi_min.
+    resp = antenna.sample_responses(pattern0, pattern1, scen,
+                                    phi_min - geometry.aoa_exact(scen, 0.0))
+    return resp, 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
+
+
+def _phi_burst(scen, pattern0, pattern1, use_exact: bool, phi_min: float) -> Burst:
+    n = scen.n_packets
+    resp, half_gain = _responses(scen, pattern0, pattern1, phi_min)
+    norm = n * antenna.combined_mean_gain(pattern0, pattern1, phi_min)
+    if use_exact:
+        cross = _exact_cross(resp.mag0 * resp.mag1, resp.phase0 - resp.phase1, resp.times)
+    else:
+        drift = affine.fit_antenna_phase_diff(resp).slope
+        product = affine.fit_antenna_gain_product(resp, strict=True)
+        c1, c2 = affine_coefficients(product.slope, product.intercept, n, scen.t_interval)
+        cross = _closed_form_cross(c1, c2, n, drift, scen.t_interval)
+    return Burst(float(np.sum(half_gain)), norm, cross)
+
+
+def _combined_burst(scen, model, pattern0, pattern1, use_exact: bool,
+                    t0: float | None, phi_min: float) -> Burst:
+    resp, half_gain = _responses(scen, pattern0, pattern1, phi_min)
+    tk = resp.times
+    if use_exact:
+        pl = pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, tk))
+        w = pl * resp.mag0 * resp.mag1
+        phase = geometry.omega_exact(scen, tk) + (resp.phase0 - resp.phase1)
+    else:
+        om = affine.taylor_omega(scen, t0)
+        pl = affine.taylor_pathgain(model, scen, t0)(tk)
+        dphase = affine.fit_antenna_phase_diff(resp)
+        w = pl * affine.fit_antenna_gain_product(resp, strict=True)(tk)
+        phase = om(tk) + dphase(tk)
+    return Burst(float(np.sum(pl * half_gain)), 1.0 / DESIGN_SNR_SCALE,
+                 _exact_cross(w, phase, tk))
+
+
+def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,
+                  use_exact: bool = True, t0: float | None = None) -> float:
+    """Worst-case sum-SNR with only the branch phase difference varying, over
+    n_packets (1.0 means no combining loss).  The exact path takes the true
+    phase difference, the affine path its linearization around t0."""
+    return _omega_burst(scen, use_exact, t0).value(slope)
+
+
+def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
+               model: pathloss.PathlossModel, *, use_exact: bool = True,
+               fit: str = "taylor", t0: float | None = None) -> float:
+    """Worst-case sum-SNR with the mean path gain (and any phase difference)
+    varying, over n_packets times the path gain at t = 0.  The affine path
+    fits the path gain by "taylor" at t0 or by "least_squares"."""
+    return _pl_burst(scen, model, use_exact, fit, t0).value(slope)
 
 
 def sum_snr_phi(slope: float, scen: geometry.ScenarioParams,
                 pattern0: antenna.AntennaPattern, pattern1: antenna.AntennaPattern, *,
-                use_exact: bool = True, phi0_offset: float | None = None,
-                zero_loss: bool = False) -> float:
-    """Worst-case sum-SNR with only the angle of arrival varying.
-
-    The burst is normalized by n_packets times the worst-case (over AOA)
-    mean branch gain; by default the trajectory is shifted so the first
-    packet arrives from exactly that worst-case angle.
-    """
-    n = scen.n_packets
-    tk = scen.packet_times()
-    phi_min = antenna.worst_case_aoa(pattern0, pattern1)
-    if phi0_offset is None:
-        phi0_offset = phi_min - geometry.aoa_exact(scen, 0.0)
-    resp = antenna.sample_responses(pattern0, pattern1, scen, phi0_offset)
-    half_gain = 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
-    norm = n * antenna.combined_mean_gain(pattern0, pattern1, phi_min)
-    gain_term = float(np.sum(half_gain))
-    if zero_loss:
-        return gain_term / norm
-    if use_exact:
-        w = resp.mag0 * resp.mag1
-        theta = (resp.phase0 - resp.phase1) - slope * tk
-        return (gain_term + min_cross_term(w, theta)) / norm
-    dphase = affine.fit_antenna_phase_diff(resp)
-    product = affine.fit_antenna_gain_product(resp, strict=True)
-    x = 0.5 * (slope - dphase.slope) * scen.t_interval
-    c1, c2 = affine_coefficients(product.slope, product.intercept, n, scen.t_interval)
-    return (gain_term - c1 * n * loss(x, c1, c2, n)) / norm
+                use_exact: bool = True) -> float:
+    """Worst-case sum-SNR with only the angle of arrival varying.  The first
+    packet arrives from the worst-case AOA; the burst is normalized by
+    n_packets times the mean branch gain there."""
+    return _phi_burst(scen, pattern0, pattern1, use_exact,
+                      antenna.worst_case_aoa(pattern0, pattern1)).value(slope)
 
 
 def sum_snr_combined(slope: float, scen: geometry.ScenarioParams,
                      model: pathloss.PathlossModel,
                      pattern0: antenna.AntennaPattern,
                      pattern1: antenna.AntennaPattern, *,
-                     use_exact: bool = True, t0: float | None = None,
-                     phi0_offset: float | None = None,
-                     snr_scale: float = DESIGN_SNR_SCALE,
-                     zero_loss: bool = False) -> float:
-    """Worst-case sum-SNR with phase difference, path gain and AOA all varying.
-
-    Unnormalized: the linear sum-SNR scaled by transmit power over noise
-    power.  Per-packet weights compose multiplicatively (path gain times
-    branch gain product) and phases additively.  The affine path fits each
-    factor separately and is an approximation for comparison plots; the
-    exact path is the reference.
-    """
-    n = scen.n_packets
-    tk = scen.packet_times()
-    phi_min = antenna.worst_case_aoa(pattern0, pattern1)
-    if phi0_offset is None:
-        phi0_offset = phi_min - geometry.aoa_exact(scen, 0.0)
-    resp = antenna.sample_responses(pattern0, pattern1, scen, phi0_offset)
-    half_gain = 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
-    pl_w = pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, tk))
-    if use_exact:
-        gain_term = float(np.sum(pl_w * half_gain))
-        if zero_loss:
-            return snr_scale * gain_term
-        w = pl_w * resp.mag0 * resp.mag1
-        theta = geometry.omega_exact(scen, tk) + (resp.phase0 - resp.phase1) - slope * tk
-        return snr_scale * (gain_term + min_cross_term(w, theta))
-    om = affine.taylor_omega(scen, t0)
-    pg = affine.taylor_pathgain(model, scen, t0)
-    dphase = affine.fit_antenna_phase_diff(resp)
-    product = affine.fit_antenna_gain_product(resp, strict=True)
-    pl_aff = pg(tk)
-    gain_term = float(np.sum(pl_aff * half_gain))
-    if zero_loss:
-        return snr_scale * gain_term
-    w = pl_aff * product(tk)
-    theta = om(tk) + dphase(tk) - slope * tk
-    return snr_scale * (gain_term + min_cross_term(w, theta))
+                     use_exact: bool = True, t0: float | None = None) -> float:
+    """Worst-case sum-SNR with phase difference, path gain and AOA all varying,
+    times DESIGN_SNR_SCALE.  Weights compose multiplicatively and phases
+    additively; the affine path fits each factor separately (approximation)."""
+    return _combined_burst(scen, model, pattern0, pattern1, use_exact, t0,
+                           antenna.worst_case_aoa(pattern0, pattern1)).value(slope)

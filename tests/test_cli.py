@@ -60,7 +60,7 @@ def test_loss_curve_honors_output_dir_env(tmp_path, monkeypatch, capsys):
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["pl-losses", "--packets", "10", "--seed", "7"]
+    args = ["pl-losses", "--packets", "10"]
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--out", str(b)]) == 0
     capsys.readouterr()
@@ -109,14 +109,6 @@ def test_speed_sweep_paths_both_alias(tmp_path, capsys):
     assert "q1_exact_db" in header and "q1_affine_db" in header
 
 
-def test_speed_sweep_metadata_seed(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    assert run_cli(["speed-sweep", "--dv-min", "0", "--dv-max", "0",
-                    "--seed", "3", "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert "# seed: 3" in out.read_text(encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
@@ -129,21 +121,30 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
-    ["loss-curve", "--step", "0"],
-    ["speed-sweep", "--dv-step", "0"],
-    ["a-omega-range", "--dv-step", "-1"],
-    ["a-omega-range", "--dx-step", "-1"],
-    ["design-rule", "--T", "0"],
-    ["loss-curve", "--interval", "nan"],
-], ids=["step", "dv-step", "a-omega-dv-step", "dx-step", "T", "interval"])
-def test_nonpositive_steps_exit_two_with_usage(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["loss-curve", "--step", "0"], "positive"),
+    (["speed-sweep", "--dv-step", "0"], "positive"),
+    (["a-omega-range", "--dv-step", "-1"], "positive"),
+    (["a-omega-range", "--dx-step", "-1"], "positive"),
+    (["design-rule", "--T", "0"], "positive"),
+    (["loss-curve", "--interval", "nan"], "positive"),
+    (["loss-curve", "--packets", "1"], "at least 2"),
+    (["a-omega-range", "--K", "0"], "at least 2"),
+    (["speed-sweep", "--packets", "-3"], "at least 2"),
+    (["pl-losses", "--K", "1"], "at least 2"),
+    (["design-rule", "--K", "1"], "at least 2"),
+    (["speed-sweep", "--seed", "3"], "unrecognized arguments"),
+], ids=["step", "dv-step", "a-omega-dv-step", "dx-step", "T", "interval",
+        "loss-curve-packets", "a-omega-K", "speed-sweep-packets", "pl-losses-K",
+        "design-rule-K", "speed-sweep-seed"])
+def test_nonpositive_steps_exit_two_with_usage(argv, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
-        run_cli(argv + (["--out", str(tmp_path / "x.csv")]
-                        if argv[0] != "design-rule" else []))
+        run_cli(argv + (["--out", str(out)] if argv[0] != "design-rule" else []))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "usage:" in err and "positive" in err
+    assert "usage:" in err and message in err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -162,7 +163,10 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     bad_cfg.write_text('{"bogus": 1}\n', encoding="utf-8")
     assert run_cli(["pl-losses", "--pathloss-config", str(bad_cfg),
                     "--out", out]) == 1
-    capsys.readouterr()
+    # a non-finite scenario fails before any CSV is written
+    assert run_cli(["speed-sweep", "--dx", "nan", "--out", out]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_validate_passes(capsys):

@@ -1,0 +1,191 @@
+"""Public worst-case sum-SNR evaluators and the sweep built on them.
+
+The four sum_snr_* calls share one burst evaluator; these tests pin each
+mode against independent routes: the sweep driver cell by cell, a brute
+force offset scan over weights and phases rebuilt from the scenario fields,
+and a direct resummation of the affine models behind the closed form.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from phasecomb import (DESIGN_SNR_SCALE, PathlossModel, ScenarioParams, aoa_exact,
+                       builtin_pattern, carrier_wavelength, fit_antenna_gain_product,
+                       fit_antenna_phase_diff, kmh_to_mps, least_squares_fit,
+                       mean_path_gain, min_cross_term, sample_responses, speed_sweep,
+                       sum_snr_combined, sum_snr_omega, sum_snr_phi, sum_snr_pl,
+                       taylor_omega, taylor_pathgain, transmitter_distance)
+from phasecomb import antenna
+from phasecomb.validation import Y_SCAN_GRID, worst_case_y_scan
+
+TWO_PI = 2.0 * math.pi
+LAM = carrier_wavelength(5.9e9)
+MODEL = PathlossModel()
+PATTERNS = (builtin_pattern("patch_front"), builtin_pattern("patch_rear"))
+MODES = ("omega", "pl", "phi", "combined")
+
+
+def scen_at(d_x=30.0, d_y=-4.0, dv_kmh=40.0, n_packets=10, t_interval=0.1):
+    return ScenarioParams(d_x=d_x, d_y=d_y, delta_v=kmh_to_mps(dv_kmh),
+                          delta_a=10.0 * LAM, wavelength=LAM,
+                          n_packets=n_packets, t_interval=t_interval)
+
+
+def public_call(mode, slope, scen, use_exact):
+    if mode == "omega":
+        return sum_snr_omega(slope, scen, use_exact=use_exact)
+    if mode == "pl":
+        return sum_snr_pl(slope, scen, MODEL, use_exact=use_exact)
+    if mode == "phi":
+        return sum_snr_phi(slope, scen, *PATTERNS, use_exact=use_exact)
+    return sum_snr_combined(slope, scen, MODEL, *PATTERNS, use_exact=use_exact)
+
+
+def slopes_for(n_packets, t_interval):
+    # every comb member plus two slopes between comb members
+    unit = TWO_PI / (n_packets * t_interval)
+    return [q * unit for q in range(1, n_packets)] + [0.37 * unit, 2.61 * unit]
+
+
+# ---------------------------------------------------------------------------
+# sweep cells against single calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("path", ["exact", "affine"])
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_cells_are_the_worst_single_call(mode, path):
+    base = scen_at(dv_kmh=0.0)
+    unit = TWO_PI / (base.n_packets * base.t_interval)
+    slopes = {"q1": unit, "q5": 5.0 * unit, "off": 2.3 * unit}
+    dv = [-45.0, 0.0, 25.0]
+    offsets = (-4.0, 1.5, 4.0)
+    res = speed_sweep(mode, slopes, dv, base, model=MODEL, patterns=PATTERNS,
+                      paths=(path,), d_y_values=offsets)
+    for i, dv_kmh in enumerate(dv):
+        scens = [scen_at(d_y=dy, dv_kmh=dv_kmh) for dy in offsets]
+        for label, slope in slopes.items():
+            want = min(public_call(mode, slope, s, path == "exact") for s in scens)
+            got = 10.0 ** (res.series[f"{label}_{path}_db"][i] / 10.0)
+            assert got == pytest.approx(want, rel=1e-12), (label, dv_kmh)
+
+
+# ---------------------------------------------------------------------------
+# exact path against a brute-force offset scan
+# ---------------------------------------------------------------------------
+
+def oracle_terms(mode, scen):
+    """(gain, norm, weights, phases) rebuilt from the scenario fields with
+    plain numpy; only the worst-case AOA, an input convention, comes from
+    the package."""
+    n = scen.n_packets
+    tk = np.arange(n) * scen.t_interval
+    u = scen.d_x + scen.delta_v * tk
+    half = 0.5 * scen.delta_a
+    omega = (TWO_PI / scen.wavelength) * (np.hypot(u, scen.d_y - half)
+                                          - np.hypot(u, scen.d_y + half))
+    shadow = math.exp((math.log(10.0) * MODEL.sigma_shadow_db) ** 2 / 200.0)
+
+    def path_gain(d):
+        ratio = MODEL.d_ref / np.maximum(d, MODEL.d_ref)
+        return shadow * MODEL.ref_gain * ratio ** MODEL.exponent
+
+    if mode == "omega":
+        return float(n), float(n), np.ones(n), omega
+    pl = path_gain(np.hypot(u, scen.d_y))
+    if mode == "pl":
+        norm = n * float(path_gain(math.hypot(scen.d_x, scen.d_y)))
+        return float(np.sum(pl)), norm, pl, omega
+    phi_min = antenna.worst_case_aoa(*PATTERNS)
+    aoa = np.arctan2(scen.d_y, u)
+    phi = np.mod(phi_min + (aoa - aoa[0]), TWO_PI)
+    (m0, p0), (m1, p1) = (pattern.evaluate(phi) for pattern in PATTERNS)
+    half_gain = 0.5 * (m0 ** 2 + m1 ** 2)
+    if mode == "phi":
+        g0, g1 = (pattern.evaluate(phi_min)[0] for pattern in PATTERNS)
+        norm = n * 0.5 * (g0 ** 2 + g1 ** 2)
+        return float(np.sum(half_gain)), norm, m0 * m1, p0 - p1
+    return (float(np.sum(pl * half_gain)), 1.0 / DESIGN_SNR_SCALE,
+            pl * m0 * m1, omega + (p0 - p1))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_exact_path_matches_offset_scan(mode):
+    for d_x, d_y, dv_kmh, k in ((30.0, -4.0, 40.0, 10), (10.0, 2.5, -60.0, 8),
+                                (100.0, 0.5, 15.0, 12)):
+        scen = scen_at(d_x=d_x, d_y=d_y, dv_kmh=dv_kmh, n_packets=k)
+        gain, norm, w, theta = oracle_terms(mode, scen)
+        tk = np.arange(k) * scen.t_interval
+        # the scan overshoots the true minimum by at most its curvature bound
+        bound = 2.0 * (TWO_PI / Y_SCAN_GRID) ** 2 * float(np.sum(w)) / gain
+        for slope in slopes_for(k, scen.t_interval):
+            _, j_scan = worst_case_y_scan(w, theta - slope * tk)
+            got = public_call(mode, slope, scen, True)
+            gap = ((gain + j_scan) / norm - got) / (gain / norm)
+            assert -1e-12 <= gap <= bound + 1e-12, (d_x, slope)
+
+
+# ---------------------------------------------------------------------------
+# affine closed form against direct resummation of the affine models
+# ---------------------------------------------------------------------------
+
+def affine_terms(mode, scen, fit):
+    """(gain, norm, weights, phases) sampled from the affine models."""
+    n = scen.n_packets
+    tk = scen.packet_times()
+    om = taylor_omega(scen)
+    if mode == "omega":
+        return float(n), float(n), np.ones(n), om(tk)
+    if mode == "pl":
+        if fit == "taylor":
+            pg = taylor_pathgain(MODEL, scen)
+        else:
+            pg = least_squares_fit(tk, mean_path_gain(MODEL,
+                                                      transmitter_distance(scen, tk)))
+        norm = n * mean_path_gain(MODEL, transmitter_distance(scen, 0.0))
+        return float(np.sum(pg(tk))), norm, pg(tk), om(tk)
+    phi_min = antenna.worst_case_aoa(*PATTERNS)
+    resp = sample_responses(*PATTERNS, scen, phi_min - aoa_exact(scen, 0.0))
+    gain = float(np.sum(0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)))
+    norm = n * antenna.combined_mean_gain(*PATTERNS, phi_min)
+    product, dphase = fit_antenna_gain_product(resp), fit_antenna_phase_diff(resp)
+    return gain, norm, product(tk), dphase(tk)
+
+
+@pytest.mark.parametrize("mode, fit", [("omega", "taylor"), ("pl", "taylor"),
+                                       ("pl", "least_squares"), ("phi", "taylor")])
+def test_affine_closed_form_matches_resummation(mode, fit):
+    for d_x, d_y, dv_kmh, k in ((30.0, -4.0, 40.0, 10), (20.0, 3.0, -40.0, 7),
+                                (100.0, 0.5, 55.0, 12)):
+        scen = scen_at(d_x=d_x, d_y=d_y, dv_kmh=dv_kmh, n_packets=k)
+        gain, norm, w, theta = affine_terms(mode, scen, fit)
+        tk = scen.packet_times()
+        for slope in slopes_for(k, scen.t_interval):
+            want = (gain + min_cross_term(w, theta - slope * tk)) / norm
+            if mode == "pl":
+                got = sum_snr_pl(slope, scen, MODEL, use_exact=False, fit=fit)
+            else:
+                got = public_call(mode, slope, scen, False)
+            assert got == pytest.approx(want, abs=1e-12), (d_x, slope)
+
+
+# ---------------------------------------------------------------------------
+# per-sweep work
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["phi", "combined"])
+def test_sweep_finds_worst_case_aoa_once(mode, monkeypatch):
+    calls = []
+    original = antenna.worst_case_aoa
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(antenna, "worst_case_aoa", counting)
+    unit = TWO_PI / (10 * 0.1)
+    speed_sweep(mode, {"q1": unit, "q5": 5.0 * unit}, [-30.0, 0.0, 30.0],
+                scen_at(dv_kmh=0.0), model=MODEL, patterns=PATTERNS,
+                d_y_values=(-4.0, 4.0))
+    assert len(calls) == 1

@@ -40,6 +40,11 @@ def test_scenario_validation():
         make_scen(wavelength=-0.05)
     with pytest.raises(ValueError):
         make_scen(delta_a=-0.1)
+    # NaN passes every sign check, so finiteness is checked on its own
+    for field in ("d_x", "d_y", "delta_v", "delta_a", "wavelength", "t_interval"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make_scen(**{field: bad})
 
 
 def test_scenario_is_frozen():

@@ -1,14 +1,11 @@
 """Log-distance path gain model and its JSON exchange format."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from phasecomb import (NonPositiveDistance, PathlossModel, ScenarioParams,
-                       distance_at, dump_pathloss_config, load_pathloss_config,
-                       mean_path_gain, validity_horizon)
+from phasecomb import (NonPositiveDistance, PathlossModel, dump_pathloss_config,
+                       load_pathloss_config, mean_path_gain)
 
 
 def test_shadowing_mean_against_quadrature():
@@ -69,17 +66,6 @@ def test_model_validation():
         PathlossModel(d_ref=-3.0)
     with pytest.raises(ValueError):
         PathlossModel(sigma_shadow_db=-1.0)
-
-
-def test_distance_at_delegates_to_geometry():
-    scen = ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=10.0, delta_a=0.5,
-                          wavelength=0.0508)
-    assert distance_at(scen, 0.5) == pytest.approx(math.hypot(35.0, 4.0), abs=1e-12)
-
-
-def test_validity_horizon():
-    assert validity_horizon(PathlossModel()) == 177.0
-    assert validity_horizon(PathlossModel(validity_m=50.0)) == 50.0
 
 
 def test_config_round_trip(tmp_path):

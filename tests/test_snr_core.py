@@ -343,6 +343,10 @@ def test_loss_values_rejects_nonpositive_mean_weight():
 
 def test_loss_bounds_severe_collapse():
     assert loss_bounds(math.pi, 10) == (1.0, 1.0)
+    # the upper envelope divides by n - 1
+    for n in (1, 0):
+        with pytest.raises(TooFewPackets):
+            loss_bounds(0.3, n)
 
 
 def test_interval_loss_bound_values():
