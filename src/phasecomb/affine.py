@@ -36,7 +36,11 @@ class AffineModel:
 
 def _default_t0(scen: geometry.ScenarioParams, t0: float | None) -> float:
     # Mid-burst expansion balances the residual over the packet times.
-    return 0.5 * scen.burst_window if t0 is None else t0
+    if t0 is None:
+        return 0.5 * scen.burst_window
+    if not math.isfinite(t0):
+        raise ValueError("linearization instant t0 must be finite")
+    return t0
 
 
 def taylor_omega(scen: geometry.ScenarioParams, t0: float | None = None) -> AffineModel:

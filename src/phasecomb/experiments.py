@@ -57,10 +57,7 @@ def loss_curve(n_packets: int, c1: float = 1.0, c2: float = 0.0,
     """Loss and its weight-independent envelope over x in (0, pi)."""
     x = np.arange(x_step, math.pi, x_step)
     values = snr.loss_values(x, c1, c2, n_packets)
-    lower = np.empty_like(x)
-    upper = np.empty_like(x)
-    for i, xi in enumerate(x):
-        lower[i], upper[i] = snr.loss_bounds(float(xi), n_packets)
+    lower, upper = snr.loss_bounds(x, n_packets)
     return SweepResult(
         name="loss_curve",
         independent="x_rad",
@@ -140,6 +137,8 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         raise ValueError(f"mode {mode!r} needs a pathloss model")
     if mode in ("phi", "combined") and patterns is None:
         raise ValueError(f"mode {mode!r} needs a pair of antenna patterns")
+    if not set(paths) <= {"exact", "affine"}:
+        raise ValueError(f"unknown evaluation paths in {paths!r}")
     dv_kmh_values = np.asarray(dv_kmh_values, dtype=float)
     offsets = (base.d_y,) if d_y_values is None else tuple(d_y_values)
     phi_min = antenna.worst_case_aoa(*patterns) if mode in ("phi", "combined") else None

@@ -31,6 +31,9 @@ class PathlossModel:
     validity_m: float = 177.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.ref_gain, self.d_ref, self.exponent,
+                                       self.sigma_shadow_db, self.validity_m))):
+            raise ValueError("pathloss parameters must be finite")
         if self.ref_gain <= 0.0:
             raise ValueError("reference gain must be positive")
         if self.d_ref <= 0.0:

@@ -43,16 +43,11 @@ TWO_PI = 2.0 * math.pi
 # |sin(x)| below this counts as "on a pole", i.e. x in the severe set.
 X_TOL = 1e-9
 
-# Below this |sin(x)| the direct kernel formulas lose digits (argument
-# rounding of n*x in f1, amplified by 1/sin^2 in f2) and pole-centered
-# forms take over.
-_POLE_TOL = 0.05
-
-# Within this offset from a pole the pole-centered f2 numerator itself
-# cancels and a series in the offset takes over.
+# Within this offset from a pole the f2 numerator cancels and a series in
+# the offset takes over.
 _SERIES_TOL = 1e-3
 
-# pi minus its float value: tail of a two-term split used near poles.
+# pi minus its float value: tail of the two-term pole split.
 _PI_TAIL = 1.2246467991473532e-16
 
 # Transmit power over noise power, 23 dBm - (-95 dBm) = 118 dB.
@@ -71,52 +66,73 @@ def in_zero_loss_set(x: float, n_packets: int) -> bool:
     return abs(math.sin(n_packets * x)) < n_packets * X_TOL
 
 
-def _f2_series_tail(e, n: int):
-    """Bracketed factor of the f2 numerator series -(n^3-n)/3 * e^3 * (...)."""
+def _f2_series(e, n: int):
+    """Series in the pole offset e of the f2 numerator, which cancels there:
+    -(n^3-n)/3 * e^3 * (1 - (n^2+1) e^2 / 10 + c4 e^4)."""
     e2 = e * e
     c4 = (n ** 4 + n * n + 1) / 280.0 + n * n / 120.0
-    return 1.0 - (n * n + 1) * e2 / 10.0 + c4 * e2 * e2
+    return -(n ** 3 - n) / 3.0 * e * e2 * (1.0 - (n * n + 1) * e2 / 10.0 + c4 * e2 * e2)
 
 
-def _pole_offset(x: float) -> tuple[float, int]:
-    """Split x into q*pi + e with |e| <= pi/2 and e accurate near poles.
+def _dirichlet(x: float, n: int) -> tuple[float, float] | None:
+    """(f1, f2) at a float x, or None on the severe set.
 
-    math.remainder is exact against the float value of pi; the _PI_TAIL
-    correction accounts for the part of pi the float drops, which would
-    otherwise cost ~8 digits in sin(n*x) when x sits within 1e-4 of a pole.
+    With x = q pi + e and s = (-1)^(q (n - 1)), f1 = s sin(n e) / sin(e) and
+    f2 = s (n cos(n e) sin(e) - sin(n e) cos(e)) / sin(e)^2 at any offset e.
     """
+    # math.remainder is exact against the float value of pi; the _PI_TAIL
+    # correction adds the part of pi the float drops, which would otherwise
+    # cost ~8 digits in sin(n e) when x sits within 1e-4 of a pole
     e = math.remainder(x, math.pi)
     q = round((x - e) / math.pi)
-    return e - q * _PI_TAIL, q
+    e -= q * _PI_TAIL
+    se = math.sin(e)
+    if abs(se) < X_TOL:
+        return None
+    sne = math.sin(n * e)
+    if abs(e) < _SERIES_TOL:
+        num = _f2_series(e, n)
+    else:
+        num = n * math.cos(n * e) * se - sne * math.cos(e)
+    s = -1.0 if (q * (n - 1)) % 2 else 1.0
+    return s * sne / se, s * num / (se * se)
+
+
+def _dirichlet_values(x, n: int):
+    """_dirichlet over an array of x: (f1, f2, severe), with f1 and f2
+    finite but meaningless where severe is set.  Kept beside the scalar
+    form, which is about 30x faster on a single float."""
+    x = np.asarray(x, dtype=float)
+    # fmod is exact and the fold subtractions are exact by Sterbenz, so e
+    # matches the scalar math.remainder split
+    r = np.fmod(x, np.pi)
+    e = np.where(r > np.pi / 2, r - np.pi, np.where(r < -np.pi / 2, r + np.pi, r))
+    q = np.rint((x - e) / np.pi)
+    e = e - q * _PI_TAIL
+    se = np.sin(e)
+    severe = np.abs(se) < X_TOL
+    se = np.where(severe, 1.0, se)
+    sne = np.sin(n * e)
+    num = np.where(np.abs(e) < _SERIES_TOL, _f2_series(e, n),
+                   n * np.cos(n * e) * se - sne * np.cos(e))
+    sign = np.where(np.fmod(q * (n - 1), 2.0) == 0.0, 1.0, -1.0)
+    return sign * sne / se, sign * num / (se * se), severe
 
 
 def f1(x: float, n_packets: int) -> float:
     """Dirichlet-kernel ratio sin(n x) / sin(x); |f1| <= n everywhere."""
-    sx = math.sin(x)
-    if abs(sx) < X_TOL:
+    f = _dirichlet(x, n_packets)
+    if f is None:
         raise DomainX(f"x={x!r} is within tolerance of a multiple of pi")
-    if abs(sx) < _POLE_TOL:
-        e, q = _pole_offset(x)
-        sign = -1.0 if (q * n_packets) % 2 else 1.0
-        return sign * math.sin(n_packets * e) / sx
-    return math.sin(n_packets * x) / sx
+    return f[0]
+
 
 def f2(x: float, n_packets: int) -> float:
     """Derivative of f1 with respect to x."""
-    sx = math.sin(x)
-    if abs(sx) < X_TOL:
+    f = _dirichlet(x, n_packets)
+    if f is None:
         raise DomainX(f"x={x!r} is within tolerance of a multiple of pi")
-    n = n_packets
-    if abs(sx) < _POLE_TOL:
-        e, q = _pole_offset(x)
-        sign = -1.0 if (q * (n + 1)) % 2 else 1.0
-        if abs(e) < _SERIES_TOL:
-            # numerator cancels catastrophically; series in the offset
-            num = -(n ** 3 - n) / 3.0 * e ** 3 * _f2_series_tail(e, n)
-        else:
-            num = n * math.cos(n * e) * math.sin(e) - math.sin(n * e) * math.cos(e)
-        return sign * num / (sx * sx)
-    return n * math.cos(n * x) / sx - math.sin(n * x) * math.cos(x) / (sx * sx)
+    return f[1]
 
 
 def affine_coefficients(slope: float, intercept: float, n_packets: int,
@@ -144,69 +160,52 @@ def c_ratio_squared(w: float, n_packets: int, t_interval: float) -> float:
     return (w / ((n_packets - 1) * (w + 2.0 * a_edge))) ** 2
 
 
+def _check_weights(c1: float, c2: float, n_packets: int) -> None:
+    """Admissible affine weights: 0 < c1 < inf, finite c2, n >= 2."""
+    if not 0.0 < c1 < math.inf:
+        raise NonPositiveC1("mean per-packet weight must be positive and finite")
+    if not math.isfinite(c2):
+        raise ValueError("per-interval weight increment must be finite")
+    if n_packets < 2:
+        raise TooFewPackets("a burst needs n >= 2 packets")
+
+
 def loss(x: float, c1: float, c2: float, n_packets: int) -> float:
     """Relative worst-case loss of the burst cross term, in [0, 1].
 
     1 on the severe set; off it, R(x) / (c1 n) with
     R = sqrt((c1 f1)^2 + (c2 f2)^2).  Weights must average positive.
     """
-    if not c1 > 0.0:
-        raise NonPositiveC1("mean per-packet weight must be positive")
-    if in_severe_set(x):
+    _check_weights(c1, c2, n_packets)
+    f = _dirichlet(x, n_packets)
+    if f is None:
         return 1.0
-    r = math.hypot(c1 * f1(x, n_packets), c2 * f2(x, n_packets))
-    return r / (c1 * n_packets)
+    return math.hypot(c1 * f[0], c2 * f[1]) / (c1 * n_packets)
 
 
 def loss_values(x, c1: float, c2: float, n_packets: int) -> np.ndarray:
     """Vectorized loss over an array of x; severe points evaluate to 1."""
-    if not c1 > 0.0:
-        raise NonPositiveC1("mean per-packet weight must be positive")
-    x = np.asarray(x, dtype=float)
-    n = n_packets
-    sx = np.sin(x)
-    severe = np.abs(sx) < X_TOL
-    safe = np.where(severe, 1.0, sx)
-    f1v = np.sin(n * x) / safe
-    f2v = n * np.cos(n * x) / safe - np.sin(n * x) * np.cos(x) / (safe * safe)
-    near = (np.abs(sx) < _POLE_TOL) & ~severe
-    if np.any(near):
-        # same pole-centered fallbacks as the scalar f1/f2; fmod is exact
-        # and the fold subtractions are exact by Sterbenz, matching the
-        # scalar math.remainder path bit for bit
-        r = np.fmod(x, np.pi)
-        e = np.where(r > np.pi / 2, r - np.pi,
-                     np.where(r < -np.pi / 2, r + np.pi, r))
-        q = np.rint((x - e) / np.pi)
-        e = e - q * _PI_TAIL
-        sign1 = np.where(np.mod(q * n, 2) == 0, 1.0, -1.0)
-        sign2 = np.where(np.mod(q * (n + 1), 2) == 0, 1.0, -1.0)
-        series = -(n ** 3 - n) / 3.0 * e ** 3 * _f2_series_tail(e, n)
-        direct = n * np.cos(n * e) * np.sin(e) - np.sin(n * e) * np.cos(e)
-        num = np.where(np.abs(e) < _SERIES_TOL, series, direct)
-        f1v = np.where(near, sign1 * np.sin(n * e) / safe, f1v)
-        f2v = np.where(near, sign2 * num / (safe * safe), f2v)
-    out = np.hypot(c1 * f1v, c2 * f2v) / (c1 * n)
-    out = np.where(severe, 1.0, out)
-    return out
+    _check_weights(c1, c2, n_packets)
+    f1v, f2v, severe = _dirichlet_values(x, n_packets)
+    return np.where(severe, 1.0, np.hypot(c1 * f1v, c2 * f2v) / (c1 * n_packets))
 
 
-def loss_bounds(x: float, n_packets: int) -> tuple[float, float]:
+def loss_bounds(x, n_packets: int):
     """Weight-independent envelope (lower, upper) of the loss at x.
 
     lower = |f1| / n holds for any admissible weights (and is the loss for
     constant weights); upper = sqrt((n-1)^2 f1^2 + f2^2) / (n (n-1)) holds
     for any positive affine weights.  On the severe set both collapse to 1.
+    x may be a float (two floats returned) or an array (two arrays).
     """
     if n_packets < 2:
         raise TooFewPackets("the loss envelope needs n >= 2")
-    if in_severe_set(x):
-        return 1.0, 1.0
     n = n_packets
-    f1v = f1(x, n)
-    f2v = f2(x, n)
-    lower = abs(f1v) / n
-    upper = math.hypot((n - 1) * f1v, f2v) / (n * (n - 1))
+    f1v, f2v, severe = _dirichlet_values(x, n)
+    lower = np.where(severe, 1.0, np.abs(f1v) / n)
+    upper = np.where(severe, 1.0, np.hypot((n - 1) * f1v, f2v) / (n * (n - 1)))
+    if np.ndim(x) == 0:
+        return float(lower), float(upper)
     return lower, upper
 
 
@@ -251,10 +250,11 @@ def j_affine(x: float, y: float, c1: float, c2: float, n_packets: int) -> float:
     Dirichlet form.
     """
     n = n_packets
-    if in_severe_set(x):
+    f = _dirichlet(x, n)
+    if f is None:
         return c1 * n * math.cos(y)
     u = y - (n - 1) * x
-    return c1 * f1(x, n) * math.cos(u) - c2 * f2(x, n) * math.sin(u)
+    return c1 * f[0] * math.cos(u) - c2 * f[1] * math.sin(u)
 
 
 def worst_case_y(x: float, c1: float, c2: float,
@@ -264,13 +264,13 @@ def worst_case_y(x: float, c1: float, c2: float,
     Returns (y_min, j_min) with y_min in [0, 2 pi).  When the cross term
     vanishes identically (c2 = 0 and f1(x) = 0) the convention is (0, 0).
     """
-    if not c1 > 0.0:
-        raise NonPositiveC1("mean per-packet weight must be positive")
+    _check_weights(c1, c2, n_packets)
     n = n_packets
-    if in_severe_set(x):
+    f = _dirichlet(x, n)
+    if f is None:
         return math.pi, -c1 * n
-    v1 = c1 * f1(x, n)
-    v2 = c2 * f2(x, n)
+    v1 = c1 * f[0]
+    v2 = c2 * f[1]
     r = math.hypot(v1, v2)
     if r == 0.0:
         return 0.0, 0.0

@@ -9,11 +9,15 @@ requirement.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import phasecomb
 from phasecomb import (PathlossModel, ScenarioParams, a_omega_range,
                        affine_coefficients, builtin_pattern,
                        carrier_wavelength, cli, design_rule_alpha_star,
@@ -207,3 +211,14 @@ def test_cli_outputs_are_byte_deterministic(tmp_path):
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes(), f"nondeterministic: {args[0]}"
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = os.path.dirname(os.path.dirname(phasecomb.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, phasecomb; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -167,6 +167,17 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert run_cli(["speed-sweep", "--dx", "nan", "--out", out]) == 1
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+    # so do non-finite weights, linearization instants and pathloss fields
+    nan_cfg = tmp_path / "nan.json"
+    nan_cfg.write_text('{"n_e": NaN}\n', encoding="utf-8")
+    for argv in (["loss-curve", "--c2", "nan"], ["loss-curve", "--c2", "inf"],
+                 ["loss-curve", "--c1", "inf"],
+                 ["speed-sweep", "--paths", "affine", "--t0", "nan"],
+                 ["speed-sweep", "--mode", "pl", "--paths", "exact",
+                  "--pathloss-config", str(nan_cfg)]):
+        assert run_cli(argv + ["--out", out]) == 1, argv
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_validate_passes(capsys):

@@ -155,6 +155,8 @@ def test_speed_sweep_rejects_bad_requests():
         speed_sweep("pl", {"q1": BASE_SLOPE}, [0.0], base_scen())
     with pytest.raises(ValueError):
         speed_sweep("phi", {"q1": BASE_SLOPE}, [0.0], base_scen())
+    with pytest.raises(ValueError):
+        speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=("bogus",))
 
 
 def test_speed_sweep_static_channel_is_lossless():

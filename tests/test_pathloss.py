@@ -1,5 +1,7 @@
 """Log-distance path gain model and its JSON exchange format."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -66,6 +68,10 @@ def test_model_validation():
         PathlossModel(d_ref=-3.0)
     with pytest.raises(ValueError):
         PathlossModel(sigma_shadow_db=-1.0)
+    for field in ("ref_gain", "d_ref", "exponent", "sigma_shadow_db", "validity_m"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                PathlossModel(**{field: value})
 
 
 def test_config_round_trip(tmp_path):

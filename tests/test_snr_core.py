@@ -8,6 +8,7 @@ by brute-force scans.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from phasecomb import (DomainX, NonPositiveC1, TooFewPackets,
                        in_zero_loss_set, interval_loss_bound, j_affine,
                        j_direct, loss, loss_bounds, loss_values,
                        min_cross_term, optimal_slope_set, worst_case_y)
+from phasecomb.snr import _dirichlet_values
 from phasecomb.validation import worst_case_y_scan
 
 TWO_PI = 2.0 * math.pi
@@ -39,9 +41,25 @@ def f2_complex_step(x: float, n: int, h: float = 1e-20) -> float:
     return f1_reference(complex(x, h), n).imag / h
 
 
+def dirichlet_sums(x: float, n: int) -> tuple[float, float]:
+    # division-free oracle, accurate at the poles too:
+    # f1 = sum_k cos(m_k x), f2 = -sum_k m_k sin(m_k x), m_k = n - 1 - 2k
+    m = [n - 1 - 2 * k for k in range(n)]
+    return (math.fsum(math.cos(mk * x) for mk in m),
+            -math.fsum(mk * math.sin(mk * x) for mk in m))
+
+
 # strategy for x comfortably away from the poles of 1/sin
 safe_x = st.floats(min_value=0.05, max_value=math.pi - 0.05).filter(
     lambda x: abs(math.sin(x)) > 0.05)
+
+
+@st.composite
+def pole_offset_x(draw):
+    # x = q pi + e with q in [-3, 3] and |e| log-uniform in [1e-8, pi/2]
+    q = draw(st.integers(min_value=-3, max_value=3))
+    e = 10.0 ** draw(st.floats(min_value=-8.0, max_value=math.log10(math.pi / 2)))
+    return q * math.pi + draw(st.sampled_from((-1.0, 1.0))) * e
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +116,62 @@ def test_f2_near_pole_limit_slope():
     assert f2(-e, 7) == pytest.approx((7 ** 3 - 7) / 3.0 * e, rel=1e-5)
 
 
+def test_f2_keeps_its_digits_near_distant_poles():
+    # near q pi the offset from the pole must be taken against the true pi,
+    # not its float value, or f2 (which scales with the offset) loses ~8
+    # digits; the offset here comes from 36 digits of pi in exact arithmetic
+    pi_digits = Fraction("3.14159265358979323846264338327950288")
+    n = 10
+    lim = (n ** 3 - n) / 3.0
+    for q in (-3, 2, 3):
+        for e in (1e-8, -3e-7, 2e-5):
+            x = q * math.pi + e
+            offset = float(Fraction(x) - q * pi_digits)
+            sign = -1.0 if q * (n - 1) % 2 else 1.0
+            want = -sign * lim * offset * (1.0 - (n * n + 1) * offset ** 2 / 10.0)
+            assert f2(x, n) == pytest.approx(want, rel=1e-12)
+
+
 def test_f2_continuous_across_internal_branch_switches():
-    # evaluation switches form near |sin x| = 0.05 and again very close to
-    # the pole; the value must not jump there
+    # evaluation switches to a series in the offset 1e-3 from the pole; the
+    # value must not jump there, nor at |sin x| = 0.05
     n = 12
     for center in (math.asin(0.05), math.pi - math.asin(0.05), math.pi + 1e-3):
         lo, hi = center - 1e-9, center + 1e-9
         step = abs(f2(hi, n) - f2(lo, n))
         assert step < 1e-4 * max(1.0, abs(f2(center, n)))
+
+
+@given(x=pole_offset_x(), n=st.integers(min_value=2, max_value=15))
+@settings(max_examples=300)
+def test_f1_f2_match_division_free_sums_across_pole_bands(x, n):
+    want1, want2 = dirichlet_sums(x, n)
+    assert abs(f1(x, n) - want1) <= 1e-10 * max(1.0, abs(want1))
+    assert abs(f2(x, n) - want2) <= 1e-10 * max(1.0, abs(want2))
+
+
+@given(xs=st.lists(st.one_of(pole_offset_x(),
+                             st.integers(min_value=-3, max_value=3).map(lambda q: q * math.pi)),
+                   min_size=1, max_size=20),
+       n=st.integers(min_value=2, max_value=15),
+       c1=st.floats(min_value=0.1, max_value=5.0),
+       w=st.floats(min_value=-0.9, max_value=0.9))
+@settings(max_examples=200)
+def test_array_kernels_match_scalar_kernels(xs, n, c1, w):
+    # the array and scalar shapes of the kernel agree point by point,
+    # severe points included
+    x = np.array(xs)
+    f1v, f2v, severe = _dirichlet_values(x, n)
+    for xi, a, b in zip(x[~severe], f1v[~severe], f2v[~severe]):
+        assert abs(a - f1(xi, n)) <= 1e-10 * max(1.0, abs(a))
+        assert abs(b - f2(xi, n)) <= 1e-10 * max(1.0, abs(b))
+    c2 = w * c1 / (n - 1)
+    np.testing.assert_allclose(loss_values(x, c1, c2, n),
+                               [loss(xi, c1, c2, n) for xi in xs], rtol=0.0, atol=1e-15)
+    lower, upper = loss_bounds(x, n)
+    want = np.array([loss_bounds(xi, n) for xi in xs])
+    np.testing.assert_allclose(lower, want[:, 0], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(upper, want[:, 1], rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +329,16 @@ def test_worst_case_y_rejects_nonpositive_mean_weight():
         worst_case_y(0.3, math.nan, 0.0, 10)
     with pytest.raises(NonPositiveC1):
         loss(0.3, math.nan, 0.0, 10)
+    # an infinite mean weight turns the loss into inf / inf
+    with pytest.raises(NonPositiveC1):
+        worst_case_y(0.3, math.inf, 0.0, 10)
+    with pytest.raises(NonPositiveC1):
+        loss(0.3, math.inf, 0.0, 10)
+    for c2 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            worst_case_y(0.3, 1.0, c2, 10)
+        with pytest.raises(ValueError):
+            loss(0.3, 1.0, c2, 10)
 
 
 def test_worst_case_y_scan_matches_vector_identity():
@@ -339,14 +415,25 @@ def test_loss_values_rejects_nonpositive_mean_weight():
         loss_values(np.array([0.5]), 0.0, 0.0, 10)
     with pytest.raises(NonPositiveC1):
         loss_values(np.array([0.5]), math.nan, 0.0, 10)
+    with pytest.raises(NonPositiveC1):
+        loss_values(np.array([0.5]), math.inf, 0.0, 10)
+    for c2 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            loss_values(np.array([0.5]), 1.0, c2, 10)
 
 
 def test_loss_bounds_severe_collapse():
     assert loss_bounds(math.pi, 10) == (1.0, 1.0)
-    # the upper envelope divides by n - 1
-    for n in (1, 0):
+    # the upper envelope divides by n - 1, the loss by n
+    for n in (1, 0, -3):
         with pytest.raises(TooFewPackets):
             loss_bounds(0.3, n)
+        with pytest.raises(TooFewPackets):
+            loss(0.3, 1.0, 0.1, n)
+        with pytest.raises(TooFewPackets):
+            loss_values(np.array([0.3]), 1.0, 0.1, n)
+        with pytest.raises(TooFewPackets):
+            worst_case_y(0.3, 1.0, 0.1, n)
 
 
 def test_interval_loss_bound_values():
