@@ -10,7 +10,6 @@ unweighted least-squares fit through sampled values.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +17,13 @@ import numpy as np
 from . import geometry, pathloss
 from .errors import DegenerateSamples, PositivityViolation, ValidityViolation
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class AffineModel:
-    """slope * t + intercept, tagged with how and over which window it was made."""
+    """slope * t + intercept."""
 
     slope: float
     intercept: float
-    method: str = "taylor"                    # "taylor" or "least_squares"
-    window: tuple[float, float] = (0.0, 0.0)  # time span the model is meant for
 
     def __call__(self, t):
         return self.intercept + self.slope * np.asarray(t, dtype=float)
@@ -44,18 +39,12 @@ def _default_t0(scen: geometry.ScenarioParams, t0: float | None) -> float:
 
 
 def taylor_omega(scen: geometry.ScenarioParams, t0: float | None = None) -> AffineModel:
-    """First-order model of the branch phase difference around t0.
-
-    The slope is (2 pi / wavelength) * delta_v * u * (1/d_1 - 1/d_0) with
-    u the along-track transmitter coordinate at t0.
-    """
+    """First-order model of the branch phase difference around t0."""
     t0 = _default_t0(scen, t0)
-    d0, d1 = geometry.propagation_distances(scen, t0)
-    u = scen.d_x + scen.delta_v * t0
-    slope = (TWO_PI / scen.wavelength) * scen.delta_v * u * (1.0 / d1 - 1.0 / d0)
+    slope = float(geometry._omega_slope(scen.d_x, scen.d_y, scen.delta_v, scen.delta_a,
+                                        scen.wavelength, t0))
     intercept = geometry.omega_exact(scen, t0) - slope * t0
-    return AffineModel(slope=slope, intercept=intercept, method="taylor",
-                       window=(0.0, scen.burst_window))
+    return AffineModel(slope=slope, intercept=intercept)
 
 
 def taylor_pathgain(model: pathloss.PathlossModel, scen: geometry.ScenarioParams,
@@ -85,8 +74,7 @@ def taylor_pathgain(model: pathloss.PathlossModel, scen: geometry.ScenarioParams
     scale = model.shadowing_mean * model.ref_gain * model.d_ref ** model.exponent
     slope = -scale * model.exponent * scen.delta_v * u / d_t0 ** (model.exponent + 2.0)
     intercept = pathloss.mean_path_gain(model, d_t0) - slope * t0
-    fitted = AffineModel(slope=slope, intercept=intercept, method="taylor",
-                         window=(0.0, window))
+    fitted = AffineModel(slope=slope, intercept=intercept)
     require_positive(fitted, scen.packet_times())
     return fitted
 
@@ -100,28 +88,17 @@ def least_squares_fit(times, values) -> AffineModel:
     if float(np.ptp(t)) == 0.0:
         raise DegenerateSamples("sample times are all identical")
     slope, intercept = np.polyfit(t, v, 1)
-    return AffineModel(slope=float(slope), intercept=float(intercept),
-                       method="least_squares",
-                       window=(float(t.min()), float(t.max())))
+    return AffineModel(slope=float(slope), intercept=float(intercept))
 
 
-def require_positive(model: AffineModel, times, strict: bool = True) -> bool:
-    """Check that the model stays strictly positive at the given times.
-
-    The closed forms assume positive per-packet weights, so strict=True
-    raises PositivityViolation; the brute-force path tolerates sign flips
-    and only warns.
-    """
+def require_positive(model: AffineModel, times) -> None:
+    """Raise PositivityViolation unless the model stays strictly positive at
+    the given times: the closed forms assume positive per-packet weights."""
     values = model(np.asarray(times, dtype=float))
-    if np.all(values > 0.0):
-        return True
-    if strict:
+    if not np.all(values > 0.0):
         raise PositivityViolation(
             f"affine weight model dips to {float(values.min()):.3e} "
             "inside the burst")
-    warnings.warn("affine weight model is not positive over the burst; "
-                  "closed-form loss figures do not apply", stacklevel=2)
-    return False
 
 
 def fit_antenna_phase_diff(responses) -> AffineModel:
@@ -134,13 +111,9 @@ def fit_antenna_phase_diff(responses) -> AffineModel:
     return least_squares_fit(responses.times, diff)
 
 
-def fit_antenna_gain_product(responses, strict: bool = True) -> AffineModel:
-    """Affine fit of |g0| * |g1| along the sampled burst.
-
-    strict controls the positivity check on the fitted line (see
-    require_positive).
-    """
+def fit_antenna_gain_product(responses) -> AffineModel:
+    """Affine fit of |g0| * |g1| along the sampled burst, required positive."""
     product = np.asarray(responses.mag0) * np.asarray(responses.mag1)
     fitted = least_squares_fit(responses.times, product)
-    require_positive(fitted, responses.times, strict=strict)
+    require_positive(fitted, responses.times)
     return fitted

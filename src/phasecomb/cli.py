@@ -3,7 +3,8 @@
 Subcommands mirror the library drivers: loss-curve, a-omega-range,
 speed-sweep, pl-losses, design-rule, validate.  Distances are meters and
 speeds km/h on the command line; conversion to SI happens here and nowhere
-deeper.  Exit codes: 0 success, 1 runtime or validation failure, 2 usage.
+deeper.  Exit codes: 0 success, 1 runtime or validation failure, 2 usage
+(bad flags, including min/max flags that leave a sweep grid empty).
 """
 
 from __future__ import annotations
@@ -41,6 +42,20 @@ def _packet_count(text: str) -> int:
     if value < 2:
         raise argparse.ArgumentTypeError(f"{text!r} is not a packet count of at least 2")
     return value
+
+
+def _empty_grid(args) -> str | None:
+    """Why the min/max flags leave a sweep grid empty, or None."""
+    if args.command == "a-omega-range":
+        if args.dx_min > args.dx_max:
+            return (f"empty distance grid: --dx-min {args.dx_min:g} exceeds "
+                    f"--dx-max {args.dx_max:g}")
+        if args.dv_max < 0.0:
+            return f"empty speed grid: --dv-max {args.dv_max:g} is negative"
+    if args.command == "speed-sweep" and args.dv_min > args.dv_max:
+        return (f"empty speed grid: --dv-min {args.dv_min:g} exceeds "
+                f"--dv-max {args.dv_max:g}")
+    return None
 
 
 def _resolve_pattern(spec: str) -> antenna.AntennaPattern:
@@ -279,6 +294,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except argparse.ArgumentTypeError as exc:
         parser.exit(2, f"error: {exc}\n")
+    problem = _empty_grid(args)
+    if problem:
+        parser.error(problem)
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:

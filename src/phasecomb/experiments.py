@@ -70,30 +70,32 @@ def loss_curve(n_packets: int, c1: float = 1.0, c2: float = 0.0,
 def a_omega_range(d_x_values, *, delta_a: float, wavelength: float,
                   n_packets: int = 10, t_interval: float = 0.1,
                   dv_max_kmh: float = 60.0, dv_step_kmh: float = 1.0,
-                  d_y_values=(-4.0, 4.0), t0: float | None = None) -> SweepResult:
+                  d_y_values=(-4.0, 4.0)) -> SweepResult:
     """Range of the half slope-offset x = a * T / 2 of the phase difference.
 
-    For each starting distance d_x the linearized phase-difference slope a
+    For each starting distance d_x the phase-difference slope a at mid-burst
     is scanned over the speed grid and the lateral offsets, reporting the
     signed min/max and the absolute maximum of a * t_interval / 2.
     """
     d_x_values = np.asarray(d_x_values, dtype=float)
+    d_y = np.asarray(d_y_values, dtype=float)
     speeds = geometry.kmh_to_mps(
         np.arange(-dv_max_kmh, dv_max_kmh + 0.5 * dv_step_kmh, dv_step_kmh))
-    lo = np.empty_like(d_x_values)
-    hi = np.empty_like(d_x_values)
-    for i, d_x in enumerate(d_x_values):
-        extremes = []
-        for d_y in d_y_values:
-            for dv in speeds:
-                scen = geometry.ScenarioParams(
-                    d_x=float(d_x), d_y=float(d_y), delta_v=float(dv),
-                    delta_a=delta_a, wavelength=wavelength,
-                    n_packets=n_packets, t_interval=t_interval)
-                model = affine.taylor_omega(scen, t0)
-                extremes.append(0.5 * model.slope * t_interval)
-        lo[i] = min(extremes)
-        hi[i] = max(extremes)
+    for grid, what in ((d_x_values, "distance"), (speeds, "speed"), (d_y, "offset")):
+        if grid.size == 0:
+            raise ValueError(f"empty {what} grid")
+    if not (np.all(np.isfinite(d_x_values)) and np.all(np.isfinite(d_y))):
+        raise ValueError("scenario parameters must be finite")
+    # one scenario checks the fields every grid point shares
+    scen = geometry.ScenarioParams(d_x=0.0, d_y=0.0, delta_v=0.0, delta_a=delta_a,
+                                   wavelength=wavelength, n_packets=n_packets,
+                                   t_interval=t_interval)
+    slope = geometry._omega_slope(d_x_values[:, None, None], d_y[None, :, None],
+                                  speeds[None, None, :], delta_a, wavelength,
+                                  0.5 * scen.burst_window)
+    half = 0.5 * slope * t_interval
+    lo = half.min(axis=(1, 2))
+    hi = half.max(axis=(1, 2))
     return SweepResult(
         name="a_omega_range",
         independent="d_x_m",
@@ -141,6 +143,10 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         raise ValueError(f"unknown evaluation paths in {paths!r}")
     dv_kmh_values = np.asarray(dv_kmh_values, dtype=float)
     offsets = (base.d_y,) if d_y_values is None else tuple(d_y_values)
+    if dv_kmh_values.size == 0:
+        raise ValueError("empty speed grid")
+    if not offsets:
+        raise ValueError("empty offset grid")
     phi_min = antenna.worst_case_aoa(*patterns) if mode in ("phi", "combined") else None
     build = {
         "omega": lambda scen, exact: snr._omega_burst(scen, exact, t0),
@@ -197,8 +203,8 @@ def _to_db(value: float) -> float:
 
 def pl_slope_losses(n_packets: int, *, model: pathloss.PathlossModel | None = None,
                     d_x: float = 30.0, dv_kmh: float = -60.0, d_y: float = 0.0,
-                    wavelength: float | None = None, t_interval: float = 0.1,
-                    t0: float | None = None) -> SweepResult:
+                    wavelength: float | None = None,
+                    t_interval: float = 0.1) -> SweepResult:
     """Worst-case sum-SNR floor per zero-loss slope under drifting path gain.
 
     The universal floor 10 log10(1 - 1/((n-1) sin(q pi / n))) bounds any
@@ -213,7 +219,7 @@ def pl_slope_losses(n_packets: int, *, model: pathloss.PathlossModel | None = No
     scen = geometry.ScenarioParams(
         d_x=d_x, d_y=d_y, delta_v=geometry.kmh_to_mps(dv_kmh), delta_a=0.0,
         wavelength=wavelength, n_packets=n_packets, t_interval=t_interval)
-    fitted = affine.taylor_pathgain(model, scen, t0)
+    fitted = affine.taylor_pathgain(model, scen)
     c1, c2 = snr.affine_coefficients(fitted.slope, fitted.intercept,
                                      n_packets, t_interval)
     scenario = 10.0 * np.log10(1.0 - snr.loss_values(x, c1, c2, n_packets))

@@ -86,17 +86,29 @@ def transmitter_distance(scen: ScenarioParams, t):
     return float(d) if np.ndim(t) == 0 else d
 
 
-def propagation_distances(scen: ScenarioParams, t):
-    """Distances (d_0, d_1) from the transmitter to the two antennas at time t.
-
-    Antenna 0 sits at lateral offset -delta_a / 2, antenna 1 at +delta_a / 2.
-    """
-    u = scen.d_x + scen.delta_v * np.asarray(t, dtype=float)
-    half = 0.5 * scen.delta_a
-    d0 = np.hypot(u, scen.d_y + half)
-    d1 = np.hypot(u, scen.d_y - half)
+def _track(d_x, d_y, delta_v, delta_a, t):
+    """Along-track coordinate u and distances (d_0, d_1) to antennas 0 and 1
+    at time t, elementwise over broadcast arrays."""
+    u = d_x + delta_v * t
+    half = 0.5 * delta_a
+    d0 = np.hypot(u, d_y + half)
+    d1 = np.hypot(u, d_y - half)
     if np.any(d0 == 0.0) or np.any(d1 == 0.0):
         raise DegenerateGeometry("transmitter coincides with a receive antenna")
+    return u, d0, d1
+
+
+def _omega_slope(d_x, d_y, delta_v, delta_a, wavelength, t):
+    """Time derivative of the branch phase difference at time t, elementwise:
+    (2 pi / wavelength) * delta_v * u * (1/d_1 - 1/d_0)."""
+    u, d0, d1 = _track(d_x, d_y, delta_v, delta_a, t)
+    return (TWO_PI / wavelength) * delta_v * u * (1.0 / d1 - 1.0 / d0)
+
+
+def propagation_distances(scen: ScenarioParams, t):
+    """Distances (d_0, d_1) from the transmitter to the two antennas at time t."""
+    _, d0, d1 = _track(scen.d_x, scen.d_y, scen.delta_v, scen.delta_a,
+                       np.asarray(t, dtype=float))
     if np.ndim(t) == 0:
         return float(d0), float(d1)
     return d0, d1

@@ -62,20 +62,29 @@ _CONFIG_KEYS = ("a0_log10", "d_ref_m", "n_e", "sigma_sh_db", "validity_m")
 
 
 def load_pathloss_config(path: str | os.PathLike) -> PathlossModel:
-    """Read a PathlossModel from a JSON file; absent keys keep defaults."""
+    """Read a PathlossModel from a JSON object of numbers; absent keys keep
+    defaults.  Any malformed config raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("pathloss config must be a JSON object")
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown pathloss config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"pathloss config {key!r} must be a number, not {value!r}")
     defaults = PathlossModel()
-    return PathlossModel(
-        ref_gain=10.0 ** raw["a0_log10"] if "a0_log10" in raw else defaults.ref_gain,
-        d_ref=float(raw.get("d_ref_m", defaults.d_ref)),
-        exponent=float(raw.get("n_e", defaults.exponent)),
-        sigma_shadow_db=float(raw.get("sigma_sh_db", defaults.sigma_shadow_db)),
-        validity_m=float(raw.get("validity_m", defaults.validity_m)),
-    )
+    try:
+        return PathlossModel(
+            ref_gain=10.0 ** raw["a0_log10"] if "a0_log10" in raw else defaults.ref_gain,
+            d_ref=float(raw.get("d_ref_m", defaults.d_ref)),
+            exponent=float(raw.get("n_e", defaults.exponent)),
+            sigma_shadow_db=float(raw.get("sigma_sh_db", defaults.sigma_shadow_db)),
+            validity_m=float(raw.get("validity_m", defaults.validity_m)),
+        )
+    except OverflowError:
+        raise ValueError("pathloss config values must be finite") from None
 
 
 def dump_pathloss_config(model: PathlossModel, path: str | os.PathLike) -> None:

@@ -400,7 +400,7 @@ def _phi_burst(scen, pattern0, pattern1, use_exact: bool, phi_min: float) -> Bur
         cross = _exact_cross(resp.mag0 * resp.mag1, resp.phase0 - resp.phase1, resp.times)
     else:
         drift = affine.fit_antenna_phase_diff(resp).slope
-        product = affine.fit_antenna_gain_product(resp, strict=True)
+        product = affine.fit_antenna_gain_product(resp)
         c1, c2 = affine_coefficients(product.slope, product.intercept, n, scen.t_interval)
         cross = _closed_form_cross(c1, c2, n, drift, scen.t_interval)
     return Burst(float(np.sum(half_gain)), norm, cross)
@@ -418,7 +418,7 @@ def _combined_burst(scen, model, pattern0, pattern1, use_exact: bool,
         om = affine.taylor_omega(scen, t0)
         pl = affine.taylor_pathgain(model, scen, t0)(tk)
         dphase = affine.fit_antenna_phase_diff(resp)
-        w = pl * affine.fit_antenna_gain_product(resp, strict=True)(tk)
+        w = pl * affine.fit_antenna_gain_product(resp)(tk)
         phase = om(tk) + dphase(tk)
     return Burst(float(np.sum(pl * half_gain)), 1.0 / DESIGN_SNR_SCALE,
                  _exact_cross(w, phase, tk))

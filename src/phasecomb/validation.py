@@ -41,12 +41,9 @@ def worst_case_y_scan(weights, phases, n_grid: int = Y_SCAN_GRID) -> tuple[float
 
 
 def _sample_x(rng: np.random.Generator, size: int) -> np.ndarray:
-    # Uniform over (0, pi) staying clear of the pole tolerance band.
-    x = rng.uniform(1e-6, math.pi - 1e-6, size)
-    while np.any(np.abs(np.sin(x)) < 1e-8):
-        bad = np.abs(np.sin(x)) < 1e-8
-        x[bad] = rng.uniform(1e-6, math.pi - 1e-6, int(bad.sum()))
-    return x
+    # Uniform over (0, pi); |sin x| >= sin(1e-6) keeps it clear of the
+    # 1e-8 pole tolerance band.
+    return rng.uniform(1e-6, math.pi - 1e-6, size)
 
 
 def _sample_weights(rng: np.random.Generator, n: int, t: float) -> tuple[float, float]:

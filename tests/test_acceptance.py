@@ -202,6 +202,7 @@ def test_cli_outputs_are_byte_deterministic(tmp_path):
         ["pl-losses", "--packets", "10"],
         ["a-omega-range", "--dx-min", "10", "--dx-max", "50", "--dx-step",
          "10", "--dv-step", "15"],
+        ["a-omega-range"],
         ["speed-sweep", "--mode", "omega", "--dv-min", "-30", "--dv-max",
          "30", "--dv-step", "30"],
     )

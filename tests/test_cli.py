@@ -134,9 +134,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     (["pl-losses", "--K", "1"], "at least 2"),
     (["design-rule", "--K", "1"], "at least 2"),
     (["speed-sweep", "--seed", "3"], "unrecognized arguments"),
+    (["speed-sweep", "--dv-min", "10", "--dv-max", "0"], "empty speed grid"),
+    (["a-omega-range", "--dx-min", "50", "--dx-max", "10"], "empty distance grid"),
+    (["a-omega-range", "--dv-max", "-5"], "empty speed grid"),
 ], ids=["step", "dv-step", "a-omega-dv-step", "dx-step", "T", "interval",
         "loss-curve-packets", "a-omega-K", "speed-sweep-packets", "pl-losses-K",
-        "design-rule-K", "speed-sweep-seed"])
+        "design-rule-K", "speed-sweep-seed", "speed-sweep-empty-dv",
+        "a-omega-empty-dx", "a-omega-empty-dv"])
 def test_nonpositive_steps_exit_two_with_usage(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
@@ -177,6 +181,15 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
                   "--pathloss-config", str(nan_cfg)]):
         assert run_cli(argv + ["--out", out]) == 1, argv
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+    # a malformed pathloss config is a runtime error, never a traceback
+    for i, text in enumerate(('{"a0_log10": 400}', '{"a0_log10": "x"}', '{"n_e": null}',
+                              '{"n_e": [1]}', "5", '{"a0_log10": true}')):
+        cfg = tmp_path / f"malformed_{i}.json"
+        cfg.write_text(text + "\n", encoding="utf-8")
+        assert run_cli(["pl-losses", "--pathloss-config", str(cfg), "--out", out]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: pathloss config") and "Traceback" not in err, text
         assert not (tmp_path / "x.csv").exists()
 
 

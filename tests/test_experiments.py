@@ -6,10 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from phasecomb import (PathlossModel, ScenarioParams, SweepResult,
+from phasecomb import (DegenerateGeometry, PathlossModel, ScenarioParams, SweepResult,
                        a_omega_range, builtin_pattern, carrier_wavelength,
-                       loss_curve, pl_slope_losses, speed_sweep,
-                       threshold_distance)
+                       kmh_to_mps, loss_curve, pl_slope_losses, speed_sweep,
+                       taylor_omega, threshold_distance)
 
 LAM = carrier_wavelength(5.9e9)
 BASE_SLOPE = 2.0 * math.pi / (10 * 0.1)
@@ -130,6 +130,53 @@ def test_a_omega_range_narrow_spacing_shrinks_drift():
     assert ratio > 10.0
 
 
+def per_point_range(d_x_values, d_y_values, delta_a, n_packets, t_interval,
+                    dv_max_kmh, dv_step_kmh):
+    # oracle: one scenario and one mid-burst Taylor slope per grid point
+    speeds = kmh_to_mps(np.arange(-dv_max_kmh, dv_max_kmh + 0.5 * dv_step_kmh,
+                                  dv_step_kmh))
+    lo, hi = [], []
+    for d_x in d_x_values:
+        half = [0.5 * t_interval * taylor_omega(ScenarioParams(
+                    d_x=float(d_x), d_y=float(d_y), delta_v=float(dv), delta_a=delta_a,
+                    wavelength=LAM, n_packets=n_packets, t_interval=t_interval)).slope
+                for d_y in d_y_values for dv in speeds]
+        lo.append(min(half))
+        hi.append(max(half))
+    return np.array(lo), np.array(hi)
+
+
+@pytest.mark.parametrize("d_x_values, d_y_values, delta_a, n_packets, t_interval, dv_step", [
+    (np.arange(1.0, 101.0, 1.0), (-4.0, 4.0), 10.0 * LAM, 10, 0.1, 1.0),
+    (np.arange(0.0, 101.0, 5.0), (-6.0, 0.3, 2.5), 10.0 * LAM, 8, 0.05, 2.0),
+    ([-30.0, 2.5, 17.0, 250.0], (-1.0, 1.5), 0.5 * LAM, 3, 0.2, 7.5),
+], ids=["default", "three-offsets-K8-T0.05", "narrow-spacing"])
+def test_a_omega_range_matches_per_point_oracle(d_x_values, d_y_values, delta_a,
+                                                n_packets, t_interval, dv_step):
+    res = a_omega_range(d_x_values, delta_a=delta_a, wavelength=LAM, n_packets=n_packets,
+                        t_interval=t_interval, dv_step_kmh=dv_step, d_y_values=d_y_values)
+    lo, hi = per_point_range(d_x_values, d_y_values, delta_a, n_packets, t_interval,
+                             60.0, dv_step)
+    assert np.array_equal(res.series["half_slope_min_rad"], lo)
+    assert np.array_equal(res.series["half_slope_max_rad"], hi)
+
+
+def test_a_omega_range_rejects_bad_input():
+    kw = dict(delta_a=10.0 * LAM, wavelength=LAM, dv_step_kmh=10.0)
+    # d_x = 0, d_y = delta_a / 2: at zero speed the transmitter sits on antenna 1
+    with pytest.raises(DegenerateGeometry):
+        a_omega_range([0.0], **{**kw, "d_y_values": (0.5 * kw["delta_a"],)})
+    for bad in (dict(d_x_values=[10.0, math.nan]),
+                dict(d_x_values=[10.0], d_y_values=(-4.0, math.inf)),
+                dict(d_x_values=[10.0], delta_a=-1.0),
+                dict(d_x_values=[10.0], n_packets=1),
+                dict(d_x_values=[]),
+                dict(d_x_values=[10.0], dv_max_kmh=-5.0),
+                dict(d_x_values=[10.0], d_y_values=())):
+        with pytest.raises(ValueError):
+            a_omega_range(**{**kw, **bad})
+
+
 def synthetic_range_sweep(values, absmax):
     return SweepResult(name="a_omega_range", independent="d_x_m",
                        values=np.asarray(values, dtype=float),
@@ -157,6 +204,10 @@ def test_speed_sweep_rejects_bad_requests():
         speed_sweep("phi", {"q1": BASE_SLOPE}, [0.0], base_scen())
     with pytest.raises(ValueError):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=("bogus",))
+    with pytest.raises(ValueError, match="empty speed grid"):
+        speed_sweep("omega", {"q1": BASE_SLOPE}, [], base_scen())
+    with pytest.raises(ValueError, match="empty offset grid"):
+        speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), d_y_values=())
 
 
 def test_speed_sweep_static_channel_is_lossless():

@@ -105,6 +105,20 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_pathloss_config(path)
 
 
+@pytest.mark.parametrize("text", [
+    '{"a0_log10": 400}', '{"n_e": 1e400}', '{"d_ref_m": 1%s}' % ("0" * 400),
+    '{"a0_log10": "x"}', '{"n_e": null}', '{"n_e": [1]}', "5", "[]",
+    '{"a0_log10": true}', '{"validity_m": false}',
+], ids=["a0-overflow", "n_e-inf", "d_ref-huge-int", "a0-string", "n_e-null",
+        "n_e-list", "top-level-number", "top-level-list", "a0-true", "validity-false"])
+def test_config_rejects_malformed_values(tmp_path, text):
+    # a JSON object of numbers (booleans excluded) with finite 10**a0_log10
+    path = tmp_path / "pl.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_pathloss_config(path)
+
+
 def test_config_dump_is_deterministic(tmp_path):
     model = PathlossModel()
     a, b = tmp_path / "a.json", tmp_path / "b.json"

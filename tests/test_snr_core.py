@@ -369,11 +369,14 @@ def test_min_cross_term_matches_scan_within_curvature_bound(data, k):
 # loss and its envelope
 # ---------------------------------------------------------------------------
 
-@given(x=safe_x, n=st.integers(min_value=3, max_value=15),
+@given(x=st.one_of(safe_x, pole_offset_x(),
+                  st.integers(min_value=-3, max_value=3).map(lambda q: q * math.pi)),
+       n=st.integers(min_value=2, max_value=15),
        b=st.floats(min_value=0.1, max_value=5.0),
        w=st.floats(min_value=-0.9, max_value=4.0))
-@settings(max_examples=150)
+@settings(max_examples=300)
 def test_loss_in_unit_interval_and_between_bounds(x, n, b, w):
+    # poles included: x = q pi exactly and x within 1e-8 of one
     t = 0.1
     a = w * b / ((n - 1) * t)   # keeps all per-packet weights positive
     c1, c2 = affine_coefficients(a, b, n, t)
