@@ -29,7 +29,7 @@ from .pathloss import (PathlossModel, dump_pathloss_config, load_pathloss_config
 from .snr import (DESIGN_SNR_SCALE, affine_coefficients, c_ratio_squared,
                   check_optimality, design_rule_alpha_star, f1, f2,
                   in_severe_set, in_zero_loss_set, interval_loss_bound,
-                  j_affine, j_direct, loss, loss_bounds, loss_values,
+                  j_affine, loss, loss_bounds, loss_values,
                   min_cross_term, optimal_slope_set, sum_snr_combined,
                   sum_snr_omega, sum_snr_phi, sum_snr_pl, worst_case_y)
 from .validation import CheckResult, run_validation

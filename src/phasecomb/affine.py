@@ -20,7 +20,8 @@ from .errors import DegenerateSamples, PositivityViolation, ValidityViolation
 
 @dataclass(frozen=True)
 class AffineModel:
-    """slope * t + intercept."""
+    """slope * t + intercept; for a grid of scenarios slope and intercept
+    are arrays of the grid's shape."""
 
     slope: float
     intercept: float
@@ -41,8 +42,8 @@ def _default_t0(scen: geometry.ScenarioParams, t0: float | None) -> float:
 def taylor_omega(scen: geometry.ScenarioParams, t0: float | None = None) -> AffineModel:
     """First-order model of the branch phase difference around t0."""
     t0 = _default_t0(scen, t0)
-    slope = float(geometry._omega_slope(scen.d_x, scen.d_y, scen.delta_v, scen.delta_a,
-                                        scen.wavelength, t0))
+    slope = geometry._omega_slope(scen.d_x, scen.d_y, scen.delta_v, scen.delta_a,
+                                  scen.wavelength, t0)
     intercept = geometry.omega_exact(scen, t0) - slope * t0
     return AffineModel(slope=slope, intercept=intercept)
 
@@ -56,15 +57,11 @@ def taylor_pathgain(model: pathloss.PathlossModel, scen: geometry.ScenarioParams
     resulting per-packet weights to stay positive.
     """
     t0 = _default_t0(scen, t0)
-    window = scen.burst_window
-    # Minimum distance over the burst: an endpoint, or the closest approach
-    # if the along-track coordinate changes sign inside the window.
-    candidates = [0.0, window]
-    if scen.delta_v != 0.0:
-        t_turn = -scen.d_x / scen.delta_v
-        if 0.0 < t_turn < window:
-            candidates.append(t_turn)
-    d_min = min(geometry.transmitter_distance(scen, t) for t in candidates)
+    # Minimum distance over the burst: at the smaller |along-track coordinate|
+    # of the endpoints, or at the closest approach if it changes sign between.
+    u_end = scen.d_x + scen.delta_v * scen.burst_window
+    u_min = np.where(scen.d_x * u_end <= 0.0, 0.0, np.minimum(abs(scen.d_x), abs(u_end)))
+    d_min = np.min(np.hypot(u_min, scen.d_y))
     if d_min <= model.d_ref:
         raise ValidityViolation(
             f"distance {d_min:.3f} m reaches the reference distance "
@@ -80,15 +77,20 @@ def taylor_pathgain(model: pathloss.PathlossModel, scen: geometry.ScenarioParams
 
 
 def least_squares_fit(times, values) -> AffineModel:
-    """Unweighted least-squares affine fit through (times, values)."""
+    """Unweighted least-squares affine fit through (times, values), in the
+    centered closed form.  values may carry axes after the sample axis, one
+    fit per column of the same sample times."""
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if t.size < 2 or v.shape != t.shape:
+    if t.size < 2 or v.shape[:1] != (t.size,):
         raise DegenerateSamples("need at least two samples of matching shape")
-    if float(np.ptp(t)) == 0.0:
+    if t.min() == t.max():
         raise DegenerateSamples("sample times are all identical")
-    slope, intercept = np.polyfit(t, v, 1)
-    return AffineModel(slope=float(slope), intercept=float(intercept))
+    tm = t.mean()
+    dt = t.reshape((-1,) + (1,) * (v.ndim - 1)) - tm
+    vm = v.mean(axis=0)
+    slope = (dt * (v - vm)).sum(axis=0) / (dt * dt).sum()
+    return AffineModel(slope=slope, intercept=vm - slope * tm)
 
 
 def require_positive(model: AffineModel, times) -> None:
@@ -107,7 +109,7 @@ def fit_antenna_phase_diff(responses) -> AffineModel:
     The per-packet difference is unwrapped before fitting so a 2 pi seam in
     either branch's tabulated phase cannot masquerade as drift.
     """
-    diff = np.unwrap(np.asarray(responses.phase0) - np.asarray(responses.phase1))
+    diff = np.unwrap(np.asarray(responses.phase0) - np.asarray(responses.phase1), axis=0)
     return least_squares_fit(responses.times, diff)
 
 

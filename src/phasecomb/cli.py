@@ -290,10 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentTypeError as exc:
-        parser.exit(2, f"error: {exc}\n")
+    args = parser.parse_args(argv)
     problem = _empty_grid(args)
     if problem:
         parser.error(problem)

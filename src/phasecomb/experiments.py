@@ -11,11 +11,12 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import affine, antenna, geometry, pathloss, snr
+from .errors import PhasecombError
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,34 +150,37 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         raise ValueError("empty offset grid")
     phi_min = antenna.worst_case_aoa(*patterns) if mode in ("phi", "combined") else None
     build = {
-        "omega": lambda scen, exact: snr._omega_burst(scen, exact, t0),
-        "pl": lambda scen, exact: snr._pl_burst(scen, model, exact, "taylor", t0),
-        "phi": lambda scen, exact: snr._phi_burst(scen, *patterns, exact, phi_min),
-        "combined": lambda scen, exact: snr._combined_burst(scen, model, *patterns,
+        "omega": lambda scen, exact: snr._omega_terms(scen, exact, t0),
+        "pl": lambda scen, exact: snr._pl_terms(scen, model, exact, "taylor", t0),
+        "phi": lambda scen, exact: snr._phi_terms(scen, *patterns, exact, phi_min),
+        "combined": lambda scen, exact: snr._combined_terms(scen, model, *patterns,
                                                             exact, t0, phi_min),
     }[mode]
-
-    series: dict[str, np.ndarray] = {}
-    for label in slopes:
-        for path in paths:
-            series[f"{label}_{path}_db"] = np.empty(len(dv_kmh_values))
-    series["reference_db"] = np.empty(len(dv_kmh_values))
-
-    max_distance = 0.0
-    for i, dv_kmh in enumerate(dv_kmh_values):
-        scens = [replace(base, delta_v=geometry.kmh_to_mps(float(dv_kmh)), d_y=float(dy))
-                 for dy in offsets]
-        for scen in scens:
-            for t in (0.0, scen.burst_window):
-                max_distance = max(max_distance, geometry.transmitter_distance(scen, t))
-        # each (scenario, path) is sampled once and serves every slope
-        bursts = {path: [build(scen, path == "exact") for scen in scens] for path in paths}
-        for label, slope in slopes.items():
-            for path in paths:
-                val = min(burst.value(slope) for burst in bursts[path])
-                series[f"{label}_{path}_db"][i] = _to_db(val)
-        exact = bursts.get("exact") or [build(scen, True) for scen in scens]
-        series["reference_db"][i] = _to_db(min(b.gain / b.norm for b in exact))
+    speeds = geometry.kmh_to_mps(dv_kmh_values)
+    dy = np.array([float(v) for v in offsets])
+    built = tuple(dict.fromkeys((*paths, "exact")))
+    try:
+        # one (speed, offset) grid per sweep, sampled once for every slope
+        grid = _grid(base, dy[None, :], speeds[:, None])
+        terms = {path: build(grid, path == "exact") for path in built}
+        slope_grid = np.array([float(v) for v in slopes.values()])[:, None, None]
+        worst = {path: _to_db(snr._worst(grid, terms[path], slope_grid).min(axis=-1))
+                 for path in paths}
+    except (PhasecombError, ValueError):
+        # raise what the first failing scenario meets, in speed-major order
+        for v in speeds:
+            scens = [_grid(base, d, v) for d in dy]
+            for path in built:
+                for scen in scens:
+                    build(scen, path == "exact")
+        raise
+    series = {f"{label}_{path}_db": worst[path][i]
+              for i, label in enumerate(slopes) for path in paths}
+    gain, norm, _ = terms["exact"]  # a float gain / norm in omega mode
+    zero_loss = np.broadcast_to(gain / norm, (speeds.size, dy.size))
+    series["reference_db"] = _to_db(zero_loss.min(axis=-1))
+    ends = grid.packet_times()[[0, -1]]
+    max_distance = float(np.max(geometry.transmitter_distance(grid, ends)))
 
     metadata: dict[str, object] = {
         "mode": mode, "d_x_m": base.d_x, "d_y_values_m": list(offsets),
@@ -195,10 +199,14 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
                        values=dv_kmh_values, series=series, metadata=metadata)
 
 
-def _to_db(value: float) -> float:
-    if value <= 0.0:
-        return -math.inf
-    return 10.0 * math.log10(value)
+def _grid(base: geometry.ScenarioParams, d_y, delta_v) -> geometry._ScenarioGrid:
+    return geometry._ScenarioGrid(base.d_x, d_y, delta_v, base.delta_a, base.wavelength,
+                                  base.n_packets, base.t_interval)
+
+
+def _to_db(value):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(value <= 0.0, -math.inf, 10.0 * np.log10(value))
 
 
 def pl_slope_losses(n_packets: int, *, model: pathloss.PathlossModel | None = None,

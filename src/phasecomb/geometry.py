@@ -79,11 +79,25 @@ class ScenarioParams:
         return np.linspace(0.0, self.burst_window, n + 1)
 
 
+class _ScenarioGrid(ScenarioParams):
+    """Scenarios sharing a checked ScenarioParams' fields but d_y and delta_v,
+    arrays broadcast together.  Packet times run along a new first axis, so
+    per-packet arrays are (n_packets, *grid) and per-scenario ones grid-shaped."""
+
+    def __post_init__(self) -> None:
+        if not (np.all(np.isfinite(self.d_y)) and np.all(np.isfinite(self.delta_v))):
+            raise ValueError("scenario parameters must be finite")
+
+    def packet_times(self) -> np.ndarray:
+        tk = super().packet_times()
+        return tk.reshape(tk.shape + (1,) * np.broadcast(self.d_y, self.delta_v).ndim)
+
+
 def transmitter_distance(scen: ScenarioParams, t):
     """Distance from the array center to the transmitter at time t."""
     u = scen.d_x + scen.delta_v * np.asarray(t, dtype=float)
     d = np.hypot(u, scen.d_y)
-    return float(d) if np.ndim(t) == 0 else d
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def _track(d_x, d_y, delta_v, delta_a, t):
@@ -109,7 +123,7 @@ def propagation_distances(scen: ScenarioParams, t):
     """Distances (d_0, d_1) from the transmitter to the two antennas at time t."""
     _, d0, d1 = _track(scen.d_x, scen.d_y, scen.delta_v, scen.delta_a,
                        np.asarray(t, dtype=float))
-    if np.ndim(t) == 0:
+    if np.ndim(d0) == 0:
         return float(d0), float(d1)
     return d0, d1
 
@@ -122,7 +136,7 @@ def omega_exact(scen: ScenarioParams, t):
     """
     d0, d1 = propagation_distances(scen, t)
     out = (TWO_PI / scen.wavelength) * (d1 - d0)
-    return float(out) if np.ndim(t) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def aoa_exact(scen: ScenarioParams, t):
@@ -134,4 +148,4 @@ def aoa_exact(scen: ScenarioParams, t):
     if np.any((u == 0.0) & (scen.d_y == 0.0)):
         raise DegenerateGeometry("transmitter crosses the array center")
     phi = np.mod(np.arctan2(scen.d_y, u), TWO_PI)
-    return float(phi) if np.ndim(t) == 0 else phi
+    return float(phi) if np.ndim(phi) == 0 else phi

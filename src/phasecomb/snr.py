@@ -31,7 +31,7 @@ the slope difference is perturbed by channel dynamics.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -183,9 +183,13 @@ def loss(x: float, c1: float, c2: float, n_packets: int) -> float:
     return math.hypot(c1 * f[0], c2 * f[1]) / (c1 * n_packets)
 
 
-def loss_values(x, c1: float, c2: float, n_packets: int) -> np.ndarray:
-    """Vectorized loss over an array of x; severe points evaluate to 1."""
-    _check_weights(c1, c2, n_packets)
+def loss_values(x, c1, c2, n_packets: int) -> np.ndarray:
+    """Vectorized loss over an array of x; severe points evaluate to 1.
+    c1 and c2 may be arrays broadcasting against x."""
+    # the extreme weights are admissible only if all of them are
+    c1, c2 = np.asarray(c1), np.asarray(c2)
+    c1_lo, c1_hi = c1.min(), c1.max()
+    _check_weights(c1_lo if c1_hi < math.inf else c1_hi, abs(c2).max(), n_packets)
     f1v, f2v, severe = _dirichlet_values(x, n_packets)
     return np.where(severe, 1.0, np.hypot(c1 * f1v, c2 * f2v) / (c1 * n_packets))
 
@@ -216,31 +220,6 @@ def interval_loss_bound(n_packets: int) -> float:
     if n_packets < 2:
         raise TooFewPackets("the interval [pi/n, (n-1) pi/n] needs n >= 2")
     return 1.0 / (n_packets * math.sin(math.pi / n_packets))
-
-
-def j_direct(slopes, psi, gains, weights, t_interval: float) -> float:
-    """Direct double-sum cross term of the combined burst power.
-
-    slopes: (L,) per-branch phase slopes [rad/s];
-    psi: (K, L) per-packet per-branch phase offsets [rad];
-    gains: (K, L) per-packet per-branch magnitudes;
-    weights: (K,) per-packet weights.
-
-    Plain trigonometric sum, no approximation; the reference the closed
-    forms are tested against.
-    """
-    slopes = np.asarray(slopes, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    gains = np.asarray(gains, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n_packets, n_branches = psi.shape
-    tk = np.arange(n_packets) * t_interval
-    total = 0.0
-    for l in range(n_branches):
-        for m in range(l + 1, n_branches):
-            ang = psi[:, m] - psi[:, l] - (slopes[m] - slopes[l]) * tk
-            total += float(np.sum(weights * gains[:, l] * gains[:, m] * np.cos(ang)))
-    return 2.0 * total / n_branches
 
 
 def j_affine(x: float, y: float, c1: float, c2: float, n_packets: int) -> float:
@@ -278,12 +257,17 @@ def worst_case_y(x: float, c1: float, c2: float,
     return y_min, -r
 
 
-def min_cross_term(weights, phases) -> float:
+def min_cross_term(weights, phases):
     """Minimum over the offset y of sum_k w_k cos(theta_k - y), for any
     weights and phases: the sum is C cos(y) + S sin(y) with C = sum w cos(theta)
-    and S = sum w sin(theta), so its minimum is -hypot(C, S)."""
-    return -math.hypot(float(np.sum(weights * np.cos(phases))),
-                       float(np.sum(weights * np.sin(phases))))
+    and S = sum w sin(theta), so its minimum is -hypot(C, S).  Packets run
+    along the first axis; further axes hold independent bursts, whose minima
+    come back as an array."""
+    c = np.sum(weights * np.cos(phases), axis=0)
+    s = np.sum(weights * np.sin(phases), axis=0)
+    if isinstance(c, np.ndarray):
+        return -np.hypot(c, s)
+    return -math.hypot(c, s)
 
 
 def optimal_slope_set(n_packets: int, t_interval: float) -> np.ndarray:
@@ -328,50 +312,26 @@ def check_optimality(slopes: Sequence[float], n_packets: int,
 
 # ---------------------------------------------------------------------------
 # Mode evaluators: worst-case sum-SNR with one channel quantity time-varying.
-# A builder samples one scenario once for every slope; the modes differ only
-# in the per-packet weights w_k and phases theta_k of the cross term.
+# A builder samples a scenario (or a geometry._ScenarioGrid) once for every
+# slope into (gain, norm, cross): the value at a slope is (gain + min of the
+# cross term over the offset) / norm, the cross term given by per-packet
+# (weights, phases) or by (c1, c2, drift) of its affine closed form.
 # ---------------------------------------------------------------------------
 
-class Burst(NamedTuple):
-    """Worst-case sum-SNR at a slope is (gain + cross(slope)) / norm, with
-    cross the minimum over the offset; gain / norm is the zero-loss value."""
-
-    gain: float
-    norm: float
-    cross: Callable[[float], float]
-
-    def value(self, slope: float) -> float:
-        return (self.gain + self.cross(slope)) / self.norm
-
-
-def _exact_cross(w, phase, tk) -> Callable[[float], float]:
-    return lambda slope: min_cross_term(w, phase - slope * tk)
-
-
-def _closed_form_cross(c1: float, c2: float, n: int, drift: float,
-                       t_interval: float) -> Callable[[float], float]:
-    # affine weights (c1, c2) under a phase drifting at drift rad/s
-    scale = -c1 * n
-    return lambda slope: scale * loss(0.5 * (slope - drift) * t_interval, c1, c2, n)
-
-
-def _omega_burst(scen, use_exact: bool, t0: float | None) -> Burst:
+def _omega_terms(scen, use_exact: bool, t0: float | None):
     n = scen.n_packets
     if use_exact:
-        tk = scen.packet_times()
-        return Burst(n, n, _exact_cross(np.ones(n), geometry.omega_exact(scen, tk), tk))
-    drift = affine.taylor_omega(scen, t0).slope
-    return Burst(n, n, _closed_form_cross(1.0, 0.0, n, drift, scen.t_interval))
+        return n, n, (1.0, geometry.omega_exact(scen, scen.packet_times()))
+    return n, n, (1.0, 0.0, affine.taylor_omega(scen, t0).slope)
 
 
-def _pl_burst(scen, model, use_exact: bool, fit: str, t0: float | None) -> Burst:
+def _pl_terms(scen, model, use_exact: bool, fit: str, t0: float | None):
     n = scen.n_packets
     tk = scen.packet_times()
     norm = n * pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, 0.0))
     if use_exact:
         w = pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, tk))
-        return Burst(float(np.sum(w)), norm,
-                     _exact_cross(w, geometry.omega_exact(scen, tk), tk))
+        return np.sum(w, axis=0), norm, (w, geometry.omega_exact(scen, tk))
     if fit == "taylor":
         pg = affine.taylor_pathgain(model, scen, t0)
     elif fit == "least_squares":
@@ -382,7 +342,7 @@ def _pl_burst(scen, model, use_exact: bool, fit: str, t0: float | None) -> Burst
         raise ValueError(f"unknown fit method {fit!r}")
     drift = affine.taylor_omega(scen, t0).slope
     c1, c2 = affine_coefficients(pg.slope, pg.intercept, n, scen.t_interval)
-    return Burst(c1 * n, norm, _closed_form_cross(c1, c2, n, drift, scen.t_interval))
+    return c1 * n, norm, (c1, c2, drift)
 
 
 def _responses(scen, pattern0, pattern1, phi_min: float):
@@ -392,22 +352,20 @@ def _responses(scen, pattern0, pattern1, phi_min: float):
     return resp, 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
 
 
-def _phi_burst(scen, pattern0, pattern1, use_exact: bool, phi_min: float) -> Burst:
+def _phi_terms(scen, pattern0, pattern1, use_exact: bool, phi_min: float):
     n = scen.n_packets
     resp, half_gain = _responses(scen, pattern0, pattern1, phi_min)
+    gain = np.sum(half_gain, axis=0)
     norm = n * antenna.combined_mean_gain(pattern0, pattern1, phi_min)
     if use_exact:
-        cross = _exact_cross(resp.mag0 * resp.mag1, resp.phase0 - resp.phase1, resp.times)
-    else:
-        drift = affine.fit_antenna_phase_diff(resp).slope
-        product = affine.fit_antenna_gain_product(resp)
-        c1, c2 = affine_coefficients(product.slope, product.intercept, n, scen.t_interval)
-        cross = _closed_form_cross(c1, c2, n, drift, scen.t_interval)
-    return Burst(float(np.sum(half_gain)), norm, cross)
+        return gain, norm, (resp.mag0 * resp.mag1, resp.phase0 - resp.phase1)
+    product = affine.fit_antenna_gain_product(resp)
+    c1, c2 = affine_coefficients(product.slope, product.intercept, n, scen.t_interval)
+    return gain, norm, (c1, c2, affine.fit_antenna_phase_diff(resp).slope)
 
 
-def _combined_burst(scen, model, pattern0, pattern1, use_exact: bool,
-                    t0: float | None, phi_min: float) -> Burst:
+def _combined_terms(scen, model, pattern0, pattern1, use_exact: bool,
+                    t0: float | None, phi_min: float):
     resp, half_gain = _responses(scen, pattern0, pattern1, phi_min)
     tk = resp.times
     if use_exact:
@@ -420,8 +378,25 @@ def _combined_burst(scen, model, pattern0, pattern1, use_exact: bool,
         dphase = affine.fit_antenna_phase_diff(resp)
         w = pl * affine.fit_antenna_gain_product(resp)(tk)
         phase = om(tk) + dphase(tk)
-    return Burst(float(np.sum(pl * half_gain)), 1.0 / DESIGN_SNR_SCALE,
-                 _exact_cross(w, phase, tk))
+    return np.sum(pl * half_gain, axis=0), 1.0 / DESIGN_SNR_SCALE, (w, phase)
+
+
+def _worst(scen, terms, slope):
+    """Worst-case sum-SNR from a builder's terms at one slope, or over an
+    array of slopes shaped to broadcast in front of a grid's shape."""
+    gain, norm, cross = terms
+    n = scen.n_packets
+    stacked = isinstance(slope, np.ndarray)
+    if len(cross) == 3:
+        c1, c2, drift = cross
+        x = 0.5 * (slope - drift) * scen.t_interval
+        return (gain - c1 * n * (loss_values if stacked else loss)(x, c1, c2, n)) / norm
+    w, phase = cross
+    tk = scen.packet_times()
+    if stacked:
+        # packets stay on the first axis, the slopes go after them
+        w, phase, tk = (np.expand_dims(a, 1) if np.ndim(a) else a for a in (w, phase, tk))
+    return (gain + min_cross_term(w, phase - slope * tk)) / norm
 
 
 def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,
@@ -429,7 +404,7 @@ def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,
     """Worst-case sum-SNR with only the branch phase difference varying, over
     n_packets (1.0 means no combining loss).  The exact path takes the true
     phase difference, the affine path its linearization around t0."""
-    return _omega_burst(scen, use_exact, t0).value(slope)
+    return float(_worst(scen, _omega_terms(scen, use_exact, t0), slope))
 
 
 def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
@@ -438,7 +413,7 @@ def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
     """Worst-case sum-SNR with the mean path gain (and any phase difference)
     varying, over n_packets times the path gain at t = 0.  The affine path
     fits the path gain by "taylor" at t0 or by "least_squares"."""
-    return _pl_burst(scen, model, use_exact, fit, t0).value(slope)
+    return float(_worst(scen, _pl_terms(scen, model, use_exact, fit, t0), slope))
 
 
 def sum_snr_phi(slope: float, scen: geometry.ScenarioParams,
@@ -447,8 +422,8 @@ def sum_snr_phi(slope: float, scen: geometry.ScenarioParams,
     """Worst-case sum-SNR with only the angle of arrival varying.  The first
     packet arrives from the worst-case AOA; the burst is normalized by
     n_packets times the mean branch gain there."""
-    return _phi_burst(scen, pattern0, pattern1, use_exact,
-                      antenna.worst_case_aoa(pattern0, pattern1)).value(slope)
+    return float(_worst(scen, _phi_terms(scen, pattern0, pattern1, use_exact,
+                                         antenna.worst_case_aoa(pattern0, pattern1)), slope))
 
 
 def sum_snr_combined(slope: float, scen: geometry.ScenarioParams,
@@ -459,5 +434,6 @@ def sum_snr_combined(slope: float, scen: geometry.ScenarioParams,
     """Worst-case sum-SNR with phase difference, path gain and AOA all varying,
     times DESIGN_SNR_SCALE.  Weights compose multiplicatively and phases
     additively; the affine path fits each factor separately (approximation)."""
-    return _combined_burst(scen, model, pattern0, pattern1, use_exact, t0,
-                           antenna.worst_case_aoa(pattern0, pattern1)).value(slope)
+    return float(_worst(scen, _combined_terms(scen, model, pattern0, pattern1, use_exact, t0,
+                                              antenna.worst_case_aoa(pattern0, pattern1)),
+                        slope))

@@ -137,16 +137,19 @@ def _check_loss_symmetries(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_bound_order(rng: np.random.Generator) -> CheckResult:
-    ok = True
     t = 0.1
+    by_n: dict[int, list] = {}
     for _ in range(100):
         n = int(rng.integers(2, 16))
         x = float(_sample_x(rng, 1)[0])
         a, b = _sample_weights(rng, n, t)
         c1, c2 = snr.affine_coefficients(a, b, n, t)
+        by_n.setdefault(n, []).append((x, snr.loss(x, c1, c2, n)))
+    ok = True
+    for n, draws in by_n.items():  # one envelope evaluation per packet count
+        x, val = np.array(draws).T
         lower, upper = snr.loss_bounds(x, n)
-        val = snr.loss(x, c1, c2, n)
-        ok = ok and (lower - 1e-12 <= val <= upper + 1e-12)
+        ok = ok and bool(np.all((lower - 1e-12 <= val) & (val <= upper + 1e-12)))
     return CheckResult("loss_between_envelope_bounds", ok,
                        "lower <= loss <= upper on admissible weights")
 

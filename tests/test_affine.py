@@ -109,6 +109,21 @@ def test_least_squares_fit_exact_on_affine_data():
     assert model.intercept == pytest.approx(3.0, abs=1e-12)
 
 
+def test_least_squares_fit_fits_each_column():
+    rng = np.random.default_rng(12)
+    t = np.arange(8) * 0.1
+    v = rng.normal(0.0, 2.0, (8, 3, 2))
+    model = least_squares_fit(t.reshape(-1, 1, 1), v)
+    assert model.slope.shape == model.intercept.shape == (3, 2)
+    for i, j in np.ndindex(3, 2):
+        column = least_squares_fit(t, v[:, i, j])
+        assert model.slope[i, j] == pytest.approx(column.slope, rel=1e-12, abs=1e-12)
+        assert model.intercept[i, j] == pytest.approx(column.intercept, rel=1e-12, abs=1e-12)
+    fitted = model(t.reshape(-1, 1, 1))
+    assert fitted.shape == (8, 3, 2)
+    np.testing.assert_allclose(fitted[:, 1, 0], model.intercept[1, 0] + model.slope[1, 0] * t)
+
+
 def test_least_squares_degenerate_inputs():
     with pytest.raises(DegenerateSamples):
         least_squares_fit([0.0], [1.0])

@@ -1,18 +1,24 @@
 """Public worst-case sum-SNR evaluators and the sweep built on them.
 
-The four sum_snr_* calls share one burst evaluator; these tests pin each
-mode against independent routes: the sweep driver cell by cell, a brute
-force offset scan over weights and phases rebuilt from the scenario fields,
-and a direct resummation of the affine models behind the closed form.
+The four sum_snr_* calls share one burst evaluator, which the sweep driver
+runs once on a whole (speed, offset) grid; these tests pin each mode
+against independent routes: single calls cell by cell (values, and the
+error the first failing scenario raises), a brute force offset scan over
+weights and phases rebuilt from the scenario fields, and a direct
+resummation of the affine models behind the closed form.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phasecomb import (DESIGN_SNR_SCALE, PathlossModel, ScenarioParams, aoa_exact,
-                       builtin_pattern, carrier_wavelength, fit_antenna_gain_product,
+from phasecomb import (DESIGN_SNR_SCALE, DegenerateGeometry, NonPositiveDistance,
+                       PathlossModel, PhasecombError, PositivityViolation,
+                       ScenarioParams, ValidityViolation, aoa_exact, builtin_pattern,
+                       carrier_wavelength, fit_antenna_gain_product,
                        fit_antenna_phase_diff, kmh_to_mps, least_squares_fit,
                        mean_path_gain, min_cross_term, sample_responses, speed_sweep,
                        sum_snr_combined, sum_snr_omega, sum_snr_phi, sum_snr_pl,
@@ -33,14 +39,14 @@ def scen_at(d_x=30.0, d_y=-4.0, dv_kmh=40.0, n_packets=10, t_interval=0.1):
                           n_packets=n_packets, t_interval=t_interval)
 
 
-def public_call(mode, slope, scen, use_exact):
+def public_call(mode, slope, scen, use_exact, patterns=PATTERNS):
     if mode == "omega":
         return sum_snr_omega(slope, scen, use_exact=use_exact)
     if mode == "pl":
         return sum_snr_pl(slope, scen, MODEL, use_exact=use_exact)
     if mode == "phi":
-        return sum_snr_phi(slope, scen, *PATTERNS, use_exact=use_exact)
-    return sum_snr_combined(slope, scen, MODEL, *PATTERNS, use_exact=use_exact)
+        return sum_snr_phi(slope, scen, *patterns, use_exact=use_exact)
+    return sum_snr_combined(slope, scen, MODEL, *patterns, use_exact=use_exact)
 
 
 def slopes_for(n_packets, t_interval):
@@ -69,6 +75,106 @@ def test_sweep_cells_are_the_worst_single_call(mode, path):
             want = min(public_call(mode, slope, s, path == "exact") for s in scens)
             got = 10.0 ** (res.series[f"{label}_{path}_db"][i] / 10.0)
             assert got == pytest.approx(want, rel=1e-12), (label, dv_kmh)
+
+
+def first_error(mode, cells, paths, patterns=PATTERNS):
+    """Class of the first error single calls meet, visiting the (speed,
+    offset) cells speed by speed, each speed's paths (the exact path last,
+    for the reference series) and then its offsets; None if none fails."""
+    for row in cells:
+        for path in (*paths, "exact"):
+            for scen in row:
+                try:
+                    public_call(mode, 1.0, scen, path == "exact", patterns)
+                except PhasecombError as exc:
+                    return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sweep_equals_worst_single_call_over_random_grids(mode, data):
+    d_x = data.draw(st.floats(15.0, 150.0), label="d_x")
+    offsets = tuple(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=4),
+                              label="offsets"))
+    dv = data.draw(st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=5), label="dv")
+    k = data.draw(st.sampled_from((2, 3, 8, 10, 12, 16)), label="K")
+    t = data.draw(st.sampled_from((0.05, 0.1)), label="T")
+    qs = data.draw(st.lists(st.one_of(st.integers(1, k - 1), st.floats(0.05, k - 0.05)),
+                            min_size=1, max_size=4), label="q")
+    slopes = {f"s{i}": q * TWO_PI / (k * t) for i, q in enumerate(qs)}
+    base = scen_at(d_x=d_x, dv_kmh=0.0, n_packets=k, t_interval=t)
+    cells = [[scen_at(d_x=d_x, d_y=dy, dv_kmh=v, n_packets=k, t_interval=t)
+              for dy in offsets] for v in dv]
+    error = first_error(mode, cells, ("exact", "affine"))
+
+    def sweep():
+        return speed_sweep(mode, slopes, dv, base, model=MODEL, patterns=PATTERNS,
+                           d_y_values=offsets)
+
+    if error is not None:
+        with pytest.raises(error):
+            sweep()
+        return
+    res = sweep()
+    for i, row in enumerate(cells):
+        zero_loss = min(gain / norm for gain, norm, _, _ in
+                        (oracle_terms(mode, scen) for scen in row))
+        got = 10.0 ** (res.series["reference_db"][i] / 10.0)
+        assert got == pytest.approx(zero_loss, rel=1e-12)
+        for label, slope in slopes.items():
+            for path in ("exact", "affine"):
+                want = min(public_call(mode, slope, scen, path == "exact") for scen in row)
+                got = 10.0 ** (res.series[f"{label}_{path}_db"][i] / 10.0)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * zero_loss)
+
+
+# A transmitter starting at d_x = 10 m and closing at 36 km/h (10 m/s) is at
+# along-track 0 at the third packet, t = 1 s: on an antenna (d_y = -0.5 m
+# with delta_a = 1 m) or on the array center (d_y = 0).
+CROSSING = {"d_x": 10.0, "delta_a": 1.0, "n_packets": 4, "t_interval": 0.5}
+CLOSE = {"d_x": 10.0}
+BOTH = ("exact", "affine")
+NAN = float("nan")
+ERROR_CASES = [
+    ("omega", CROSSING, [-36.0], (-0.5,), BOTH, DegenerateGeometry),
+    ("combined", CROSSING, [-36.0], (-0.5,), BOTH, DegenerateGeometry),
+    ("phi", CROSSING, [-36.0], (0.0,), BOTH, DegenerateGeometry),
+    ("combined", CROSSING, [-36.0], (0.0,), BOTH, DegenerateGeometry),
+    ("pl", CROSSING, [-36.0], (0.0,), BOTH, NonPositiveDistance),
+    ("pl", {"d_x": 2.0}, [0.0], (1.0,), BOTH, ValidityViolation),
+    ("combined", {"d_x": 2.0}, [0.0], (1.0,), BOTH, ValidityViolation),
+    ("pl", CLOSE, [-60.0], (-4.0,), BOTH, PositivityViolation),
+    ("phi", CLOSE, [-60.0, 60.0], (4.0,), BOTH, PositivityViolation),
+    # the first failing offset decides, as the order of the offsets says
+    ("pl", CLOSE, [-60.0], (-4.0, 0.5), ("affine",), PositivityViolation),
+    ("pl", CLOSE, [-60.0], (0.5, -4.0), ("affine",), ValidityViolation),
+    # and the first failing speed
+    ("omega", CROSSING, [-36.0, NAN], (-0.5,), BOTH, DegenerateGeometry),
+    ("omega", CROSSING, [NAN, -36.0], (-0.5,), BOTH, ValueError),
+    ("omega", {}, [0.0, NAN], (1.0,), BOTH, ValueError),
+    ("phi", {}, [0.0], (1.0, NAN), BOTH, ValueError),
+]
+
+
+@pytest.mark.parametrize("mode, fields, dv, offsets, paths, error", ERROR_CASES)
+def test_sweep_raises_what_the_first_failing_scenario_raises(mode, fields, dv, offsets,
+                                                             paths, error):
+    base = ScenarioParams(**{"d_x": 30.0, "d_y": 0.0, "delta_v": 0.0,
+                             "delta_a": 10.0 * LAM, "wavelength": LAM, **fields})
+    patterns = PATTERNS
+    if mode == "phi" and error is PositivityViolation:
+        # a null of the cardioid drags the fitted gain product below zero
+        patterns = (builtin_pattern("isotropic"), builtin_pattern("cardioid"))
+    slopes = {"q1": TWO_PI / (base.n_packets * base.t_interval)}
+    with pytest.raises(error):
+        speed_sweep(mode, slopes, dv, base, model=MODEL, patterns=patterns, paths=paths,
+                    d_y_values=offsets)
+    if all(map(math.isfinite, (*dv, *offsets))):
+        cells = [[ScenarioParams(**{**vars(base), "d_y": dy, "delta_v": kmh_to_mps(v)})
+                  for dy in offsets] for v in dv]
+        assert first_error(mode, cells, paths, patterns) is error
 
 
 # ---------------------------------------------------------------------------

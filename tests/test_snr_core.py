@@ -19,7 +19,7 @@ from phasecomb import (DomainX, NonPositiveC1, TooFewPackets,
                        affine_coefficients, c_ratio_squared, check_optimality,
                        design_rule_alpha_star, f1, f2, in_severe_set,
                        in_zero_loss_set, interval_loss_bound, j_affine,
-                       j_direct, loss, loss_bounds, loss_values,
+                       loss, loss_bounds, loss_values,
                        min_cross_term, optimal_slope_set, worst_case_y)
 from phasecomb.snr import _dirichlet_values
 from phasecomb.validation import worst_case_y_scan
@@ -249,6 +249,31 @@ def test_j_affine_severe_convention():
     assert j_affine(0.0, math.pi, c1, 0.2, n) == pytest.approx(-c1 * n, abs=1e-12)
 
 
+def j_direct(slopes, psi, gains, weights, t_interval: float) -> float:
+    """Direct double-sum cross term of the combined burst power.
+
+    slopes: (L,) per-branch phase slopes [rad/s];
+    psi: (K, L) per-packet per-branch phase offsets [rad];
+    gains: (K, L) per-packet per-branch magnitudes;
+    weights: (K,) per-packet weights.
+
+    Plain trigonometric sum, no approximation; the reference the closed
+    forms are tested against.
+    """
+    slopes = np.asarray(slopes, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    gains = np.asarray(gains, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n_packets, n_branches = psi.shape
+    tk = np.arange(n_packets) * t_interval
+    total = 0.0
+    for l in range(n_branches):
+        for m in range(l + 1, n_branches):
+            ang = psi[:, m] - psi[:, l] - (slopes[m] - slopes[l]) * tk
+            total += float(np.sum(weights * gains[:, l] * gains[:, m] * np.cos(ang)))
+    return 2.0 * total / n_branches
+
+
 def test_j_direct_matches_plain_double_loop():
     rng = np.random.default_rng(77)
     n, branches, t = 6, 4, 0.1
@@ -363,6 +388,10 @@ def test_min_cross_term_matches_scan_within_curvature_bound(data, k):
     _, j_scan = worst_case_y_scan(w, theta)
     gap = j_scan - min_cross_term(w, theta)  # the scan can only overshoot
     assert -1e-12 <= gap <= 2.0 * (TWO_PI / 100_000) ** 2 * float(np.sum(w))
+    # further axes are independent bursts
+    stacked = min_cross_term(np.column_stack([w, 2.0 * w]), np.column_stack([theta, theta]))
+    single = [min_cross_term(w, theta), min_cross_term(2.0 * w, theta)]
+    np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=1e-12 * float(np.sum(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +440,11 @@ def test_loss_values_matches_scalar_everywhere():
     got = loss_values(x, 1.2, 0.05, 10)
     want = np.array([loss(float(v), 1.2, 0.05, 10) for v in x])
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    # per-point weights broadcast against x
+    c1, c2 = np.array([[0.5], [1.2], [3.0]]), np.array([[-0.02], [0.05], [0.3]])
+    got = loss_values(x, c1, c2, 10)
+    want = np.array([[loss(float(v), a, b, 10) for v in x] for a, b in zip(c1[:, 0], c2[:, 0])])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 def test_loss_values_rejects_nonpositive_mean_weight():
@@ -423,6 +457,14 @@ def test_loss_values_rejects_nonpositive_mean_weight():
     for c2 in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             loss_values(np.array([0.5]), 1.0, c2, 10)
+    # one bad entry of a weight array is enough
+    x = np.array([0.5, 0.6, 0.7])
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(NonPositiveC1):
+            loss_values(x, np.array([1.0, bad, 2.0]), 0.0, 10)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            loss_values(x, np.array([1.0, 1.0, 2.0]), np.array([0.0, bad, 0.1]), 10)
 
 
 def test_loss_bounds_severe_collapse():
