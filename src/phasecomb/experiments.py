@@ -167,7 +167,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         worst = {path: _to_db(snr._worst(grid, terms[path], slope_grid).min(axis=-1))
                  for path in paths}
     except (PhasecombError, ValueError):
-        # raise what the first failing scenario meets, in speed-major order
+        # raise the first failing scenario's error, not the grid's first failing check
         for v in speeds:
             scens = [_grid(base, d, v) for d in dy]
             for path in built:

@@ -10,8 +10,8 @@ runs ``perfbench/run.py --trace 0`` on both sides with seed
 ``SEED_BASE + i``; even pairs run the base first, odd pairs the head first.
 Runs follow one another, never in parallel.
 
-The output holds every run (side, seed, order, provenance line, result
-object) and, per workload and end-to-end metric of BENCHMARK.json, each
+The output holds every run (side, seed, order, provenance line without the
+per-pass times, result object) and, per workload and end-to-end metric of BENCHMARK.json, each
 side's median and quartiles and the number of pairs the head won (ties
 count for neither side).
 """
@@ -54,8 +54,10 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
-    return {"returncode": 0, "provenance": json.loads(lines[-2]),
-            "result": json.loads(lines[-1])}
+    provenance = json.loads(lines[-2])
+    # keep the count of timed passes, not their times: solve_s is their median
+    provenance["summary"]["passes"] = len(provenance["summary"].pop("pass_times_s", []))
+    return {"returncode": 0, "provenance": provenance, "result": json.loads(lines[-1])}
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
