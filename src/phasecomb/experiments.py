@@ -146,6 +146,8 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     offsets = (base.d_y,) if d_y_values is None else tuple(d_y_values)
     if dv_kmh_values.size == 0:
         raise ValueError("empty speed grid")
+    if dv_kmh_values.ndim != 1:
+        raise ValueError("speed grid must be one-dimensional")
     if not offsets:
         raise ValueError("empty offset grid")
     phi_min = antenna.worst_case_aoa(*patterns) if mode in ("phi", "combined") else None
@@ -176,7 +178,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         raise
     series = {f"{label}_{path}_db": worst[path][i]
               for i, label in enumerate(slopes) for path in paths}
-    gain, norm, _ = terms["exact"]  # a float gain / norm in omega mode
+    gain, norm, _ = terms["exact"]  # gain / norm is a float in omega mode
     zero_loss = np.broadcast_to(gain / norm, (speeds.size, dy.size))
     series["reference_db"] = _to_db(zero_loss.min(axis=-1))
     ends = grid.packet_times()[[0, -1]]
@@ -204,9 +206,8 @@ def _grid(base: geometry.ScenarioParams, d_y, delta_v) -> geometry._ScenarioGrid
                                   base.n_packets, base.t_interval)
 
 
-def _to_db(value):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(value <= 0.0, -math.inf, 10.0 * np.log10(value))
+def _to_db(v):
+    return np.where(v <= 0.0, -math.inf, 10.0 * np.log10(np.where(v <= 0.0, 1.0, v)))
 
 
 def pl_slope_losses(n_packets: int, *, model: pathloss.PathlossModel | None = None,

@@ -188,8 +188,7 @@ def loss_values(x, c1, c2, n_packets: int) -> np.ndarray:
     c1 and c2 may be arrays broadcasting against x."""
     # the extreme weights are admissible only if all of them are
     c1, c2 = np.asarray(c1), np.asarray(c2)
-    c1_lo, c1_hi = c1.min(), c1.max()
-    _check_weights(c1_lo if c1_hi < math.inf else c1_hi, abs(c2).max(), n_packets)
+    _check_weights(c1.min() if c1.max() < math.inf else c1.max(), abs(c2).max(), n_packets)
     f1v, f2v, severe = _dirichlet_values(x, n_packets)
     return np.where(severe, 1.0, np.hypot(c1 * f1v, c2 * f2v) / (c1 * n_packets))
 

@@ -206,6 +206,8 @@ def test_speed_sweep_rejects_bad_requests():
         speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=("bogus",))
     with pytest.raises(ValueError, match="empty speed grid"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [], base_scen())
+    with pytest.raises(ValueError, match="one-dimensional"):
+        speed_sweep("omega", {"q1": BASE_SLOPE}, [[0.0, 10.0], [20.0, 30.0]], base_scen())
     with pytest.raises(ValueError, match="empty offset grid"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), d_y_values=())
 
