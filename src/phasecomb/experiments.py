@@ -19,6 +19,7 @@ from . import affine, antenna, geometry, pathloss, snr
 from .errors import PhasecombError
 
 TWO_PI = 2.0 * math.pi
+_BLOCK_CELLS = 1 << 18  # array elements a speed sweep evaluates at once
 
 
 @dataclass
@@ -161,28 +162,33 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     speeds = geometry.kmh_to_mps(dv_kmh_values)
     dy = np.array([float(v) for v in offsets])
     built = tuple(dict.fromkeys((*paths, "exact")))
-    try:
-        # one (speed, offset) grid per sweep, sampled once for every slope
-        grid = _grid(base, dy[None, :], speeds[:, None])
-        terms = {path: build(grid, path == "exact") for path in built}
-        slope_grid = np.array([float(v) for v in slopes.values()])[:, None, None]
-        worst = {path: _to_db(snr._worst(grid, terms[path], slope_grid).min(axis=-1))
-                 for path in paths}
-    except (PhasecombError, ValueError):
-        # raise the first failing scenario's error, not the grid's first failing check
-        for v in speeds:
-            scens = [_grid(base, d, v) for d in dy]
-            for path in built:
-                for scen in scens:
-                    build(scen, path == "exact")
-        raise
-    series = {f"{label}_{path}_db": worst[path][i]
+    slope_grid = np.array([float(v) for v in slopes.values()])[:, None, None]
+    # as many speed rows per grid as keep its (packet, slope, row, offset)
+    # arrays within _BLOCK_CELLS; each grid is sampled once for every slope
+    rows = max(1, _BLOCK_CELLS // (base.n_packets * max(slope_grid.size, 1) * dy.size))
+    blocks, max_distance = [], 0.0
+    for block in np.split(speeds, range(rows, speeds.size, rows)):
+        try:
+            grid = _grid(base, dy[None, :], block[:, None])
+            terms = {path: build(grid, path == "exact") for path in built}
+            worst = {path: snr._worst(grid, terms[path], slope_grid) for path in paths}
+        except (PhasecombError, ValueError):
+            # raise the first failing scenario's error, not the grid's first failing check
+            for v in block:
+                scens = [_grid(base, d, v) for d in dy]
+                for path in built:
+                    for scen in scens:
+                        build(scen, path == "exact")
+            raise
+        gain, norm, _ = terms["exact"]  # gain / norm is a float in omega mode
+        worst["reference"] = np.broadcast_to(gain / norm, (block.size, dy.size))
+        blocks.append({key: value.min(axis=-1) for key, value in worst.items()})
+        ends = grid.packet_times()[[0, -1]]
+        max_distance = max(max_distance, np.max(geometry.transmitter_distance(grid, ends)))
+    db = {key: _to_db(np.concatenate([b[key] for b in blocks], axis=-1)) for key in blocks[0]}
+    series = {f"{label}_{path}_db": db[path][i]
               for i, label in enumerate(slopes) for path in paths}
-    gain, norm, _ = terms["exact"]  # gain / norm is a float in omega mode
-    zero_loss = np.broadcast_to(gain / norm, (speeds.size, dy.size))
-    series["reference_db"] = _to_db(zero_loss.min(axis=-1))
-    ends = grid.packet_times()[[0, -1]]
-    max_distance = float(np.max(geometry.transmitter_distance(grid, ends)))
+    series["reference_db"] = db["reference"]
 
     metadata: dict[str, object] = {
         "mode": mode, "d_x_m": base.d_x, "d_y_values_m": list(offsets),

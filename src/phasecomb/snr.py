@@ -284,10 +284,7 @@ def design_rule_alpha_star(n_packets: int, t_interval: float) -> np.ndarray:
     perturbation, i.e. stay robust when channel dynamics shift x.
     """
     base = TWO_PI / (n_packets * t_interval)
-    if n_packets % 2 == 0:
-        qs = [n_packets // 2]
-    else:
-        qs = [(n_packets - 1) // 2, (n_packets + 1) // 2]
+    qs = sorted({n_packets // 2, (n_packets + 1) // 2})
     return np.array([q * base for q in qs])
 
 
@@ -301,12 +298,8 @@ def check_optimality(slopes: Sequence[float], n_packets: int,
     s = np.asarray(slopes, dtype=float)
     if s.size < 2:
         raise ValueError("need at least two branch slopes")
-    for l in range(s.size):
-        for m in range(l + 1, s.size):
-            x = 0.5 * (s[m] - s[l]) * t_interval
-            if not in_zero_loss_set(x, n_packets):
-                return False
-    return True
+    return all(in_zero_loss_set(0.5 * (b - a) * t_interval, n_packets)
+               for i, a in enumerate(s) for b in s[i + 1:])
 
 
 # ---------------------------------------------------------------------------

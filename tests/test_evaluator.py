@@ -9,6 +9,8 @@ resummation of the affine models behind the closed form.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from phasecomb import (DESIGN_SNR_SCALE, DegenerateGeometry, NonPositiveDistance
                        mean_path_gain, min_cross_term, sample_responses, speed_sweep,
                        sum_snr_combined, sum_snr_omega, sum_snr_phi, sum_snr_pl,
                        taylor_omega, taylor_pathgain, transmitter_distance)
-from phasecomb import antenna
+from phasecomb import antenna, experiments
 from phasecomb.validation import Y_SCAN_GRID, worst_case_y_scan
 
 TWO_PI = 2.0 * math.pi
@@ -177,6 +179,42 @@ def test_sweep_raises_what_the_first_failing_scenario_raises(mode, fields, dv, o
         assert first_error(mode, cells, paths, patterns) is error
 
 
+@pytest.mark.parametrize("mode, fields, dv, offsets, paths, error", ERROR_CASES)
+def test_sweep_in_speed_blocks_raises_what_the_first_failing_scenario_raises(
+        mode, fields, dv, offsets, paths, error, monkeypatch):
+    # one speed row per grid: an error met in a later block still wins only
+    # if no earlier speed fails
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1)
+    test_sweep_raises_what_the_first_failing_scenario_raises(mode, fields, dv, offsets,
+                                                             paths, error)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_in_speed_blocks_matches_one_grid(mode, monkeypatch):
+    # at d_x = 170 m only the fastest receding speed passes the pathloss
+    # validity horizon (177 m), so the flag must come from a middle block
+    base = scen_at(d_x=170.0, dv_kmh=0.0)
+    unit = TWO_PI / (base.n_packets * base.t_interval)
+    slopes = {"q1": unit, "q5": 5.0 * unit, "off": 2.3 * unit}
+
+    def sweep():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = speed_sweep(mode, slopes, [-60.0, -20.0, 60.0, 20.0], base, model=MODEL,
+                              patterns=PATTERNS, d_y_values=(-4.0, 0.5, 4.0))
+        return res, [str(w.message) for w in caught]
+
+    whole, whole_warnings = sweep()
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1)
+    blocked, blocked_warnings = sweep()
+    assert blocked.series.keys() == whole.series.keys()
+    for key, values in whole.series.items():
+        np.testing.assert_array_equal(blocked.series[key], values, err_msg=key)
+    assert blocked.metadata == whole.metadata
+    assert blocked_warnings == whole_warnings
+    assert whole.metadata["pl_validity_exceeded"]
+
+
 # ---------------------------------------------------------------------------
 # exact path against a brute-force offset scan
 # ---------------------------------------------------------------------------
@@ -295,3 +333,21 @@ def test_sweep_finds_worst_case_aoa_once(mode, monkeypatch):
                 scen_at(dv_kmh=0.0), model=MODEL, patterns=PATTERNS,
                 d_y_values=(-4.0, 4.0))
     assert len(calls) == 1
+
+
+def test_sweep_memory_stays_flat_as_the_speed_grid_grows():
+    # 16 packets x 15 slopes x 11 offsets: at 1,201 speeds one grid would
+    # hold 25 MB per (packet, slope, speed, offset) array
+    base = scen_at(d_x=100.0, dv_kmh=0.0, n_packets=16)
+    slopes = {f"q{q}": q * TWO_PI / (16 * 0.1) for q in range(1, 16)}
+    offsets = tuple(np.linspace(-5.0, 5.0, 11))
+    peaks = []
+    for n_speeds in (121, 1201):
+        tracemalloc.start()
+        try:
+            speed_sweep("combined", slopes, np.linspace(-60.0, 60.0, n_speeds), base,
+                        model=MODEL, patterns=PATTERNS, d_y_values=offsets)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks

@@ -1,19 +1,19 @@
 """Benchmark two commits of this repository on one machine, in pairs.
 
     python3 tools/bench_pair.py --out BENCH_<n>.json [--base REV] [--head REV]
-        [--pairs N] [--seconds S]
 
 Both sides are extracted from git with ``git archive`` into a temporary
 directory, so only committed files are measured and the repository's own
-checkout and ``.git`` are left untouched.  For each workload, pair ``i``
-runs ``perfbench/run.py --trace 0`` on both sides with seed
-``SEED_BASE + i``; even pairs run the base first, odd pairs the head first.
-Runs follow one another, never in parallel.
+checkout and ``.git`` are left untouched.  For each workload, pair ``i`` of
+``PAIRS`` runs ``perfbench/run.py --trace 0`` on both sides for the
+``run_seconds`` of BENCHMARK.json, with seed ``SEED_BASE + i``; even pairs
+run the base first, odd pairs the head first.  Runs follow one another,
+never in parallel.
 
 The output holds every run (side, seed, order, provenance line without the
-per-pass times, result object) and, per workload and end-to-end metric of BENCHMARK.json, each
-side's median and quartiles and the number of pairs the head won (ties
-count for neither side).
+per-pass times, result object) and, per workload and end-to-end metric of
+BENCHMARK.json, each side's median and quartiles and the number of pairs
+the head won (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sweeps", "queries", "tables")
+PAIRS = 10
 # Seeds apart from the ones used while writing a change, so that a claim is
 # checked on inputs it was not tuned on.
 SEED_BASE = 600
@@ -100,12 +101,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--base", default="HEAD^")
     parser.add_argument("--head", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
             for side, rev in (("base", args.base), ("head", args.head))}
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
@@ -114,10 +110,10 @@ def main(argv=None) -> int:
             extract(rev, dirs[side])
         with open(os.path.join(dirs["head"], "BENCHMARK.json"), encoding="utf-8") as fh:
             spec = json.load(fh)
-        seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+        seconds = spec["run_seconds"]
         runs = []
         for workload in WORKLOADS:
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 order = ("base", "head") if pair % 2 == 0 else ("head", "base")
                 seed = SEED_BASE + pair
                 for position, side in enumerate(order):
@@ -133,7 +129,7 @@ def main(argv=None) -> int:
         "head": {"rev": args.head, "commit": revs["head"]},
         "command": f"python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0",
-        "pairs": args.pairs, "seed_base": SEED_BASE,
+        "pairs": PAIRS, "seed_base": SEED_BASE,
         "order": "even pairs run the base first, odd pairs the head first",
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
