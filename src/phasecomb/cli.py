@@ -36,12 +36,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _packet_count(text: str) -> int:
-    """argparse type for --packets/--K: a burst of at least two packets."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a packet count of at least 2")
-    return value
+def _int_at_least(low: int, what: str):
+    """argparse type for --packets/--K (at least 2) and validate --seed (at least 0)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what} of at least {low}")
+        return value
+    parse.__name__ = what  # argparse names it in "invalid <name> value"
+    return parse
 
 
 def _empty_grid(args) -> str | None:
@@ -209,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, default_csv=None):
-        p.add_argument("--packets", "--K", type=_packet_count, default=10,
+        p.add_argument("--packets", "--K", type=_int_at_least(2, "packet count"), default=10,
                        help="packets per burst, at least 2 (default 10)")
         p.add_argument("--interval", "--T", type=_positive_float, default=0.1,
                        help="packet interval in seconds (default 0.1)")
@@ -282,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_design_rule)
 
     p = sub.add_parser("validate", help="run the invariant self-checks")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int_at_least(0, "seed"), default=42)
     p.set_defaults(func=_cmd_validate)
 
     return parser

@@ -137,14 +137,16 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     (["speed-sweep", "--dv-min", "10", "--dv-max", "0"], "empty speed grid"),
     (["a-omega-range", "--dx-min", "50", "--dx-max", "10"], "empty distance grid"),
     (["a-omega-range", "--dv-max", "-5"], "empty speed grid"),
+    (["validate", "--seed", "-1"], "at least 0"),
 ], ids=["step", "dv-step", "a-omega-dv-step", "dx-step", "T", "interval",
         "loss-curve-packets", "a-omega-K", "speed-sweep-packets", "pl-losses-K",
         "design-rule-K", "speed-sweep-seed", "speed-sweep-empty-dv",
-        "a-omega-empty-dx", "a-omega-empty-dv"])
+        "a-omega-empty-dx", "a-omega-empty-dv", "validate-seed"])
 def test_nonpositive_steps_exit_two_with_usage(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
+    no_out = argv[0] in ("design-rule", "validate")
     with pytest.raises(SystemExit) as exc:
-        run_cli(argv + (["--out", str(out)] if argv[0] != "design-rule" else []))
+        run_cli(argv + ([] if no_out else ["--out", str(out)]))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and message in err

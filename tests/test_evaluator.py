@@ -261,10 +261,12 @@ def test_exact_path_matches_offset_scan(mode):
         scen = scen_at(d_x=d_x, d_y=d_y, dv_kmh=dv_kmh, n_packets=k)
         gain, norm, w, theta = oracle_terms(mode, scen)
         tk = np.arange(k) * scen.t_interval
-        # the scan overshoots the true minimum by at most its curvature bound
+        slopes = slopes_for(k, scen.t_interval)
+        # one stacked scan covers every slope; it overshoots the true minimum
+        # by at most its curvature bound
+        _, j_scans = worst_case_y_scan(w[:, None], theta[:, None] - np.outer(tk, slopes))
         bound = 2.0 * (TWO_PI / Y_SCAN_GRID) ** 2 * float(np.sum(w)) / gain
-        for slope in slopes_for(k, scen.t_interval):
-            _, j_scan = worst_case_y_scan(w, theta - slope * tk)
+        for slope, j_scan in zip(slopes, j_scans):
             got = public_call(mode, slope, scen, True)
             gap = ((gain + j_scan) / norm - got) / (gain / norm)
             assert -1e-12 <= gap <= bound + 1e-12, (d_x, slope)

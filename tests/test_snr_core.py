@@ -8,6 +8,7 @@ by brute-force scans.
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from phasecomb import (DomainX, NonPositiveC1, TooFewPackets,
                        loss, loss_bounds, loss_values,
                        min_cross_term, optimal_slope_set, worst_case_y)
 from phasecomb.snr import _dirichlet_values
+from phasecomb import snr, validation
 from phasecomb.validation import worst_case_y_scan
 
 TWO_PI = 2.0 * math.pi
@@ -376,6 +378,89 @@ def test_worst_case_y_scan_matches_vector_identity():
     assert j_min == pytest.approx(direct, abs=1e-12)
     amp = math.hypot(float(np.sum(w * np.cos(theta))), float(np.sum(w * np.sin(theta))))
     assert j_min == pytest.approx(-amp, abs=amp * (TWO_PI / 100_000) ** 2)
+
+
+def one_burst_scan(weights, phases, n_grid=100_000):
+    # the scan as written for a single burst: the whole grid in one array
+    y = np.arange(n_grid) * (TWO_PI / n_grid)
+    cw = float(np.sum(weights * np.cos(phases)))
+    sw = float(np.sum(weights * np.sin(phases)))
+    vals = cw * np.cos(y) + sw * np.sin(y)
+    i = int(np.argmin(vals))
+    return float(y[i]), float(vals[i])
+
+
+@pytest.mark.parametrize("n_bursts", [2, 7, 200, 3000])
+def test_stacked_scan_matches_one_burst_scans_bitwise(n_bursts):
+    rng = np.random.default_rng(n_bursts)
+    n_grid = 100_000 if n_bursts <= 200 else 5_000
+    step = TWO_PI / n_grid
+    w = rng.uniform(0.1, 2.0, (12, n_bursts))
+    theta = rng.uniform(-50.0, 50.0, (12, n_bursts))
+    w[:, 0] = 0.0  # every grid point ties at zero: the first one is reported
+    # one packet at pi - step puts the minimum on the last grid point, which
+    # the last block holds whatever the block width
+    w[:, -1], theta[:, -1] = 0.0, math.pi - step
+    w[0, -1] = 1.5
+    y, j = worst_case_y_scan(w, theta, n_grid=n_grid)
+    assert y.shape == j.shape == (n_bursts,)
+    for b in range(n_bursts):
+        ref = one_burst_scan(w[:, b], theta[:, b], n_grid)
+        assert np.array([y[b], j[b]]).tobytes() == np.array(ref).tobytes(), b
+    assert (y[0], j[0]) == (0.0, 0.0)
+    assert y[-1] == (n_grid - 1) * step
+    # a single burst comes back as floats, further burst axes keep their shape
+    single = worst_case_y_scan(w[:, 1], theta[:, 1], n_grid=n_grid)
+    assert type(single[0]) is float and type(single[1]) is float
+    assert single == one_burst_scan(w[:, 1], theta[:, 1], n_grid)
+    if n_bursts % 2 == 0:
+        y2, j2 = worst_case_y_scan(w.reshape(12, 2, -1), theta.reshape(12, 2, -1), n_grid)
+        assert np.array_equal(y2.ravel(), y) and np.array_equal(j2.ravel(), j)
+
+
+def test_zero_padded_bursts_match_their_unpadded_scans():
+    rng = np.random.default_rng(11)
+    weights, phases = np.zeros((2, 15, 60))
+    refs, scales = [], []
+    for b in range(60):
+        n = int(rng.integers(1, 16))
+        weights[:n, b] = rng.uniform(0.1, 3.0, n)
+        phases[:n, b] = rng.uniform(-20.0, 20.0, n)
+        refs.append(worst_case_y_scan(weights[:n, b], phases[:n, b])[1])
+        scales.append(float(np.sum(weights[:n, b])))
+    _, j = worst_case_y_scan(weights, phases)
+    assert np.all(np.abs(j - refs) <= 1e-12 * np.array(scales))
+
+
+def test_scan_memory_stays_flat_as_bursts_are_stacked():
+    rng = np.random.default_rng(3)
+    peaks = []
+    for n_bursts in (20, 2000):
+        w = rng.uniform(0.1, 2.0, (15, n_bursts))
+        theta = rng.uniform(0.0, TWO_PI, (15, n_bursts))
+        tracemalloc.start()
+        try:
+            worst_case_y_scan(w, theta, n_grid=10_000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("shift, passes", [(0.0, True), (1e-9, False), (-1e-8, False),
+                                           (-1e-9, True)])
+def test_scan_check_catches_a_shifted_closed_form(monkeypatch, shift, passes):
+    # the scan's curvature bound is 2 (2 pi / N)^2 c1 n, about 7.9e-9 c1 n: a
+    # closed form above the scan by 1e-9 c1 n, or below it by more than the
+    # bound, must fail the check; 1e-9 c1 n below stays inside the bound
+    exact = snr.worst_case_y
+
+    def shifted(x, c1, c2, n):
+        y, j = exact(x, c1, c2, n)
+        return y, j + shift * c1 * n
+
+    monkeypatch.setattr(snr, "worst_case_y", shifted)
+    assert validation._check_worst_y_vs_scan(np.random.default_rng(42)).passed is passes
 
 
 @given(data=st.data(), k=st.integers(min_value=1, max_value=24))
