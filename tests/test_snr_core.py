@@ -22,8 +22,8 @@ from phasecomb import (DomainX, NonPositiveC1, TooFewPackets,
                        in_zero_loss_set, interval_loss_bound, j_affine,
                        loss, loss_bounds, loss_values,
                        min_cross_term, optimal_slope_set, worst_case_y)
-from phasecomb.snr import _dirichlet_values
 from phasecomb import snr, validation
+from phasecomb.snr import _dirichlet_values
 from phasecomb.validation import worst_case_y_scan
 
 TWO_PI = 2.0 * math.pi
