@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from phasecomb import interval_loss_bound, loss_curve, loss_values
+from phasecomb import interval_loss_bound, loss, loss_curve
 
 
 def describe(n_packets: int) -> None:
@@ -49,8 +49,8 @@ def drifting_weights_example() -> None:
     # affine per-packet weights (c2 != 0) lift the loss off the zero comb
     n = 10
     x = np.array([q * math.pi / n for q in range(1, n)])
-    flat = loss_values(x, 1.0, 0.0, n)
-    drifting = loss_values(x, 1.0, 1.0 / (n - 1), n)
+    flat = loss(x, 1.0, 0.0, n)
+    drifting = loss(x, 1.0, 1.0 / (n - 1), n)
     print("\n-- weight drift at the zero-loss points (10 packets) --")
     print("q   flat weights   steepest admissible drift")
     for q, f, d in zip(range(1, n), flat, drifting):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from phasecomb import (check_optimality, design_rule_alpha_star, loss_values,
+from phasecomb import (check_optimality, design_rule_alpha_star, loss,
                        optimal_slope_set)
 
 K, T = 10, 0.1
@@ -27,7 +27,7 @@ def worst_loss_under_drift(slope: float, n_packets: int, t: float) -> float:
              if abs(0.5 * slope * t - q * math.pi) <= math.pi / 2 - 0.01]
     if poles:
         x = np.concatenate([x, poles])
-    return float(np.max(loss_values(x, 1.0, 0.0, n_packets)))
+    return float(np.max(loss(x, 1.0, 0.0, n_packets)))
 
 
 if __name__ == "__main__":

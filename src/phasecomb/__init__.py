@@ -12,9 +12,8 @@ from .affine import (AffineModel, fit_antenna_gain_product,
                      fit_antenna_phase_diff, least_squares_fit, taylor_omega,
                      taylor_pathgain)
 from .antenna import (AntennaPattern, BurstResponses, builtin_pattern,
-                      cardioid_pattern, combined_mean_gain, isotropic_pattern,
-                      load_pattern_csv, patch_pair_patterns, sample_responses,
-                      save_pattern_csv, single_lobe_pattern, worst_case_aoa)
+                      combined_mean_gain, load_pattern_csv, sample_responses,
+                      worst_case_aoa)
 from .errors import (DegenerateGeometry, DegenerateSamples, DomainX,
                      EmptyPattern, MalformedRow, NonMonotonicAzimuth,
                      NonPositiveC1, NonPositiveDistance, PhasecombError,
@@ -24,14 +23,13 @@ from .experiments import (SweepResult, a_omega_range, loss_curve,
 from .geometry import (ScenarioParams, aoa_exact, carrier_wavelength,
                        kmh_to_mps, omega_exact, propagation_distances,
                        transmitter_distance)
-from .pathloss import (PathlossModel, dump_pathloss_config, load_pathloss_config,
-                       mean_path_gain)
+from .pathloss import PathlossModel, load_pathloss_config, mean_path_gain
 from .snr import (DESIGN_SNR_SCALE, affine_coefficients, c_ratio_squared,
                   check_optimality, design_rule_alpha_star, f1, f2,
                   in_severe_set, in_zero_loss_set, interval_loss_bound,
-                  j_affine, loss, loss_bounds, loss_values,
-                  min_cross_term, optimal_slope_set, sum_snr_combined,
-                  sum_snr_omega, sum_snr_phi, sum_snr_pl, worst_case_y)
+                  j_affine, loss, loss_bounds, min_cross_term,
+                  optimal_slope_set, sum_snr_combined, sum_snr_omega,
+                  sum_snr_phi, sum_snr_pl, worst_case_y)
 from .validation import CheckResult, run_validation
 
 __version__ = "0.1.0"

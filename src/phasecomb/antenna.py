@@ -24,6 +24,7 @@ from .errors import EmptyPattern, MalformedRow, NonMonotonicAzimuth
 TWO_PI = 2.0 * math.pi
 
 PATTERN_HEADER = ("azimuth_deg", "gain_dbi", "phase_deg")
+BUILTIN_PATTERNS = ("isotropic", "cardioid", "patch_front", "patch_rear")  # in patterns/
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +117,6 @@ class BurstResponses:
     """Per-packet branch responses sampled along an AOA trajectory."""
 
     times: np.ndarray
-    aoa: np.ndarray
     mag0: np.ndarray
     phase0: np.ndarray
     mag1: np.ndarray
@@ -136,7 +136,7 @@ def sample_responses(pattern0: AntennaPattern, pattern1: AntennaPattern,
     phi = np.mod(geometry.aoa_exact(scen, tk) + phi0_offset, TWO_PI)
     m0, p0 = pattern0.evaluate(phi)
     m1, p1 = pattern1.evaluate(phi)
-    return BurstResponses(times=tk, aoa=phi, mag0=m0, phase0=p0, mag1=m1, phase1=p1)
+    return BurstResponses(times=tk, mag0=m0, phase0=p0, mag1=m1, phase1=p1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,84 +185,10 @@ def _parse_pattern_rows(reader, origin: str) -> AntennaPattern:
     return AntennaPattern(azimuth=np.radians(az), magnitude=magnitude, phase=phase)
 
 
-def save_pattern_csv(pattern: AntennaPattern, path: str | os.PathLike) -> None:
-    """Write a pattern in the CSV exchange format (phase wrapped to (-180, 180])."""
-    az_deg = np.degrees(pattern.azimuth)
-    gain_dbi = 20.0 * np.log10(np.maximum(pattern.magnitude, 1e-30))
-    phase_deg = -(np.mod(-np.degrees(pattern.phase) + 180.0, 360.0) - 180.0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PATTERN_HEADER)
-        for a, g, p in zip(az_deg, gain_dbi, phase_deg):
-            writer.writerow([f"{a:.6g}", f"{g:.10g}", f"{p:.10g}"])
-
-
-# ---------------------------------------------------------------------------
-# Synthetic patterns
-# ---------------------------------------------------------------------------
-
-def isotropic_pattern(n_points: int = 360) -> AntennaPattern:
-    """Unit gain and zero phase at every azimuth."""
-    az = np.arange(n_points) * (TWO_PI / n_points)
-    return AntennaPattern(azimuth=az, magnitude=np.ones(n_points),
-                          phase=np.zeros(n_points))
-
-
-def single_lobe_pattern(boresight_deg: float, *, front_dbi: float = 6.0,
-                        back_dbi: float = -10.0,
-                        phase_center_offset_m: float = 0.0,
-                        wavelength: float | None = None,
-                        n_points: int = 360) -> AntennaPattern:
-    """Smooth one-lobe pattern with an optional displaced phase center.
-
-    Power gain in dBi swings cosinusoidally between front_dbi at boresight
-    and back_dbi opposite it.  A phase center displaced by
-    phase_center_offset_m along boresight adds the phase
-    -(2 pi offset / wavelength) * cos(phi - boresight).
-    """
-    az = np.arange(n_points) * (TWO_PI / n_points)
-    rel = az - math.radians(boresight_deg)
-    mid = 0.5 * (front_dbi + back_dbi)
-    half = 0.5 * (front_dbi - back_dbi)
-    gain_dbi = mid + half * np.cos(rel)
-    if phase_center_offset_m != 0.0:
-        if wavelength is None or wavelength <= 0.0:
-            raise ValueError("phase center offset needs a positive wavelength")
-        phase = -(TWO_PI * phase_center_offset_m / wavelength) * np.cos(rel)
-    else:
-        phase = np.zeros(n_points)
-    return AntennaPattern(azimuth=az, magnitude=10.0 ** (gain_dbi / 20.0),
-                          phase=phase)
-
-
-def cardioid_pattern(boresight_deg: float = 0.0, *, front_dbi: float = 6.0,
-                     n_points: int = 360) -> AntennaPattern:
-    """Classic heart-shaped lobe with a deep rear null (40 dB below boresight)."""
-    return single_lobe_pattern(boresight_deg, front_dbi=front_dbi,
-                               back_dbi=front_dbi - 40.0, n_points=n_points)
-
-
-def patch_pair_patterns(wavelength: float,
-                        phase_center_offset_m: float = 0.03,
-                        n_points: int = 360) -> tuple[AntennaPattern, AntennaPattern]:
-    """Back-to-back roof patches: lobes at 0 and 180 deg, +6 to -10 dBi,
-    phase centers displaced toward their respective boresights."""
-    front = single_lobe_pattern(0.0, front_dbi=6.0, back_dbi=-10.0,
-                                phase_center_offset_m=phase_center_offset_m,
-                                wavelength=wavelength, n_points=n_points)
-    rear = single_lobe_pattern(180.0, front_dbi=6.0, back_dbi=-10.0,
-                               phase_center_offset_m=phase_center_offset_m,
-                               wavelength=wavelength, n_points=n_points)
-    return front, rear
-
-
 def builtin_pattern(name: str) -> AntennaPattern:
-    """Load one of the patterns shipped with the package by bare name.
-
-    Available: isotropic, cardioid, patch_front, patch_rear.
-    """
-    resource = resources.files("phasecomb").joinpath("patterns", f"{name}.csv")
-    if not resource.is_file():
+    """Load one of the BUILTIN_PATTERNS shipped with the package by bare name."""
+    if name not in BUILTIN_PATTERNS:
         raise FileNotFoundError(f"no builtin pattern named {name!r}")
+    resource = resources.files("phasecomb").joinpath("patterns", f"{name}.csv")
     with resources.as_file(resource) as path:
         return load_pattern_csv(path)

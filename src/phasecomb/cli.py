@@ -21,8 +21,6 @@ from .errors import PhasecombError
 
 ENV_OUT_DIR = "PHASECOMB_OUT_DIR"
 
-_BUILTIN_PATTERNS = ("isotropic", "cardioid", "patch_front", "patch_rear")
-
 
 def _default_out(filename: str) -> str:
     return os.path.join(os.environ.get(ENV_OUT_DIR, "."), filename)
@@ -48,7 +46,9 @@ def _int_at_least(low: int, what: str):
 
 
 def _empty_grid(args) -> str | None:
-    """Why the min/max flags leave a sweep grid empty, or None."""
+    """Why the step or min/max flags leave a sweep grid empty, or None."""
+    if args.command == "loss-curve" and args.step >= math.pi:
+        return f"empty x grid: --step {args.step:g} is not below pi"
     if args.command == "a-omega-range":
         if args.dx_min > args.dx_max:
             return (f"empty distance grid: --dx-min {args.dx_min:g} exceeds "
@@ -62,7 +62,7 @@ def _empty_grid(args) -> str | None:
 
 
 def _resolve_pattern(spec: str) -> antenna.AntennaPattern:
-    if spec in _BUILTIN_PATTERNS:
+    if spec in antenna.BUILTIN_PATTERNS:
         return antenna.builtin_pattern(spec)
     return antenna.load_pattern_csv(spec)
 
@@ -149,6 +149,8 @@ def _cmd_speed_sweep(args) -> int:
     for p in paths:
         if p not in ("exact", "affine"):
             raise argparse.ArgumentTypeError(f"unknown evaluation path {p!r}")
+    if not paths:
+        raise argparse.ArgumentTypeError("no evaluation paths given")
     d_y_values = tuple(args.dy_set) if args.dy_set else None
     result = experiments.speed_sweep(
         args.mode, slopes, dv, base, model=model, patterns=patterns,

@@ -58,7 +58,9 @@ def loss_curve(n_packets: int, c1: float = 1.0, c2: float = 0.0,
                x_step: float = 1e-3) -> SweepResult:
     """Loss and its weight-independent envelope over x in (0, pi)."""
     x = np.arange(x_step, math.pi, x_step)
-    values = snr.loss_values(x, c1, c2, n_packets)
+    if x.size == 0:
+        raise ValueError("empty x grid")
+    values = snr.loss(x, c1, c2, n_packets)
     lower, upper = snr.loss_bounds(x, n_packets)
     return SweepResult(
         name="loss_curve",
@@ -143,6 +145,8 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         raise ValueError(f"mode {mode!r} needs a pair of antenna patterns")
     if not set(paths) <= {"exact", "affine"}:
         raise ValueError(f"unknown evaluation paths in {paths!r}")
+    if not (paths and slopes):
+        raise ValueError("no evaluation paths" if not paths else "no slopes")
     dv_kmh_values = np.asarray(dv_kmh_values, dtype=float)
     offsets = (base.d_y,) if d_y_values is None else tuple(d_y_values)
     if dv_kmh_values.size == 0:
@@ -165,7 +169,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     slope_grid = np.array([float(v) for v in slopes.values()])[:, None, None]
     # as many speed rows per grid as keep its (packet, slope, row, offset)
     # arrays within _BLOCK_CELLS; each grid is sampled once for every slope
-    rows = max(1, _BLOCK_CELLS // (base.n_packets * max(slope_grid.size, 1) * dy.size))
+    rows = max(1, _BLOCK_CELLS // (base.n_packets * slope_grid.size * dy.size))
     blocks, max_distance = [], 0.0
     for block in np.split(speeds, range(rows, speeds.size, rows)):
         try:
@@ -230,14 +234,14 @@ def pl_slope_losses(n_packets: int, *, model: pathloss.PathlossModel | None = No
     wavelength = wavelength or geometry.carrier_wavelength(5.9e9)
     q = np.arange(1, n_packets)
     x = q * math.pi / n_packets
-    universal = 10.0 * np.log10(1.0 - 1.0 / ((n_packets - 1) * np.sin(x)))
+    universal = _to_db(1.0 - 1.0 / ((n_packets - 1) * np.sin(x)))
     scen = geometry.ScenarioParams(
         d_x=d_x, d_y=d_y, delta_v=geometry.kmh_to_mps(dv_kmh), delta_a=0.0,
         wavelength=wavelength, n_packets=n_packets, t_interval=t_interval)
     fitted = affine.taylor_pathgain(model, scen)
     c1, c2 = snr.affine_coefficients(fitted.slope, fitted.intercept,
                                      n_packets, t_interval)
-    scenario = 10.0 * np.log10(1.0 - snr.loss_values(x, c1, c2, n_packets))
+    scenario = _to_db(1.0 - snr.loss(x, c1, c2, n_packets))
     return SweepResult(
         name="pl_slope_losses",
         independent="q",

@@ -73,11 +73,6 @@ class ScenarioParams:
     def packet_times(self) -> np.ndarray:
         return np.arange(self.n_packets) * self.t_interval
 
-    def time_grid(self, steps_per_interval: int = 10) -> np.ndarray:
-        """Dense time grid spanning the burst, default step t_interval / 10."""
-        n = (self.n_packets - 1) * steps_per_interval
-        return np.linspace(0.0, self.burst_window, n + 1)
-
 
 class _ScenarioGrid(ScenarioParams):
     """Scenarios sharing a checked ScenarioParams' fields but d_y and delta_v,

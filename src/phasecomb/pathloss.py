@@ -85,17 +85,3 @@ def load_pathloss_config(path: str | os.PathLike) -> PathlossModel:
         )
     except OverflowError:
         raise ValueError("pathloss config values must be finite") from None
-
-
-def dump_pathloss_config(model: PathlossModel, path: str | os.PathLike) -> None:
-    """Write a PathlossModel to a JSON file using the documented keys."""
-    payload = {
-        "a0_log10": math.log10(model.ref_gain),
-        "d_ref_m": model.d_ref,
-        "n_e": model.exponent,
-        "sigma_sh_db": model.sigma_shadow_db,
-        "validity_m": model.validity_m,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -170,27 +170,23 @@ def _check_weights(c1: float, c2: float, n_packets: int) -> None:
         raise TooFewPackets("a burst needs n >= 2 packets")
 
 
-def loss(x: float, c1: float, c2: float, n_packets: int) -> float:
+def loss(x, c1, c2, n_packets: int):
     """Relative worst-case loss of the burst cross term, in [0, 1].
 
     1 on the severe set; off it, R(x) / (c1 n) with
-    R = sqrt((c1 f1)^2 + (c2 f2)^2).  Weights must average positive.
-    """
+    R = sqrt((c1 f1)^2 + (c2 f2)^2).  Weights must average positive.  Floats
+    give a float; any array among x, c1 and c2 broadcasts to an array."""
+    if isinstance(x, np.ndarray) or isinstance(c1, np.ndarray) or isinstance(c2, np.ndarray):
+        # the extreme weights are admissible only if all of them are
+        c1, c2 = np.asarray(c1), np.asarray(c2)
+        _check_weights(c1.min() if c1.max() < math.inf else c1.max(), abs(c2).max(), n_packets)
+        f1v, f2v, severe = _dirichlet_values(x, n_packets)
+        return np.where(severe, 1.0, np.hypot(c1 * f1v, c2 * f2v) / (c1 * n_packets))
     _check_weights(c1, c2, n_packets)
     f = _dirichlet(x, n_packets)
     if f is None:
         return 1.0
     return math.hypot(c1 * f[0], c2 * f[1]) / (c1 * n_packets)
-
-
-def loss_values(x, c1, c2, n_packets: int) -> np.ndarray:
-    """Vectorized loss over an array of x; severe points evaluate to 1.
-    c1 and c2 may be arrays broadcasting against x."""
-    # the extreme weights are admissible only if all of them are
-    c1, c2 = np.asarray(c1), np.asarray(c2)
-    _check_weights(c1.min() if c1.max() < math.inf else c1.max(), abs(c2).max(), n_packets)
-    f1v, f2v, severe = _dirichlet_values(x, n_packets)
-    return np.where(severe, 1.0, np.hypot(c1 * f1v, c2 * f2v) / (c1 * n_packets))
 
 
 def loss_bounds(x, n_packets: int):
@@ -378,14 +374,13 @@ def _worst(scen, terms, slope):
     array of slopes shaped to broadcast in front of a grid's shape."""
     gain, norm, cross = terms
     n = scen.n_packets
-    stacked = isinstance(slope, np.ndarray)
     if len(cross) == 3:
         c1, c2, drift = cross
         x = 0.5 * (slope - drift) * scen.t_interval
-        return (gain - c1 * n * (loss_values if stacked else loss)(x, c1, c2, n)) / norm
+        return (gain - c1 * n * loss(x, c1, c2, n)) / norm
     w, phase = cross
     tk = scen.packet_times()
-    if stacked:
+    if isinstance(slope, np.ndarray):
         # packets stay on the first axis, the slopes go after them
         w, phase, tk = (np.expand_dims(a, 1) if np.ndim(a) else a for a in (w, phase, tk))
     return (gain + min_cross_term(w, phase - slope * tk)) / norm

@@ -125,7 +125,7 @@ def _check_loss_range_and_sets(rng: np.random.Generator) -> CheckResult:
     ok = True
     for n in (2, 3, 5, 10, 13):
         x = _sample_x(rng, 400)
-        vals = snr.loss_values(x, 1.0, 0.0, n)
+        vals = snr.loss(x, 1.0, 0.0, n)
         ok = ok and bool(np.all(vals >= 0.0) and np.all(vals <= 1.0 + 1e-12))
         for q in range(1, n):
             xq = q * math.pi / n
@@ -141,9 +141,9 @@ def _check_loss_symmetries(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for n in (2, 5, 10, 11):
         x = _sample_x(rng, 200)
-        base = snr.loss_values(x, 1.0, 0.3 / max(1, n - 1), n)
-        shifted = snr.loss_values(x + math.pi, 1.0, 0.3 / max(1, n - 1), n)
-        mirrored = snr.loss_values(math.pi - x, 1.0, 0.3 / max(1, n - 1), n)
+        base = snr.loss(x, 1.0, 0.3 / max(1, n - 1), n)
+        shifted = snr.loss(x + math.pi, 1.0, 0.3 / max(1, n - 1), n)
+        mirrored = snr.loss(math.pi - x, 1.0, 0.3 / max(1, n - 1), n)
         worst = max(worst, float(np.max(np.abs(base - shifted))),
                     float(np.max(np.abs(base - mirrored))))
     return CheckResult("loss_periodic_and_symmetric", worst < 1e-9,
@@ -197,7 +197,7 @@ def _check_design_rule_dominance(rng: np.random.Generator) -> CheckResult:
             extra = [q * math.pi for q in (-1, 0, 1)
                      if abs(0.5 * s * t - q * math.pi) <= math.pi / 2 - 0.01]
             x = np.concatenate([centers, extra]) if extra else centers
-            worst.append(float(np.max(snr.loss_values(x, 1.0, 0.0, n))))
+            worst.append(float(np.max(snr.loss(x, 1.0, 0.0, n))))
         best = min(worst)
         for s in chosen:
             idx = int(np.argmin(np.abs(slopes - s)))
@@ -210,7 +210,7 @@ def _check_geometry_symmetries(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _ in range(50):
         scen = _sample_scenario(rng, 5.0)
-        tg = scen.time_grid()
+        tg = np.linspace(0.0, scen.burst_window, (scen.n_packets - 1) * 10 + 1)
         om = geometry.omega_exact(scen, tg)
         flipped = geometry.omega_exact(replace(scen, d_y=-scen.d_y), tg)
         scaled = geometry.omega_exact(replace(scen, wavelength=2.0 * scen.wavelength), tg)
@@ -249,7 +249,7 @@ def _check_interval_bound(rng: np.random.Generator) -> CheckResult:
     for n in (5, 10):
         x = np.linspace(math.pi / n, (n - 1) * math.pi / n, 20001)
         bound = snr.interval_loss_bound(n)
-        ok = ok and bool(np.all(snr.loss_values(x, 1.0, 0.0, n) <= bound + 1e-12))
+        ok = ok and bool(np.all(snr.loss(x, 1.0, 0.0, n) <= bound + 1e-12))
         ok = ok and abs(float(np.max(1.0 / (n * np.sin(x)))) - bound) < 1e-3
     return CheckResult("interval_bound_dominates_loss", ok,
                        "ceiling 1/(n sin(pi/n)) holds on [pi/n, (n-1)pi/n]")

@@ -21,7 +21,7 @@ import phasecomb
 from phasecomb import (PathlossModel, ScenarioParams, a_omega_range,
                        affine_coefficients, builtin_pattern,
                        carrier_wavelength, cli, design_rule_alpha_star,
-                       interval_loss_bound, j_affine, loss_values,
+                       interval_loss_bound, j_affine, loss,
                        pl_slope_losses, run_validation, speed_sweep,
                        threshold_distance, worst_case_y)
 
@@ -90,7 +90,7 @@ def test_interval_loss_ceiling_values_and_floors():
         floor_db = 10.0 * math.log10(1.0 - computed_max)
         assert floor_db == pytest.approx(want_floor_db, abs=0.02)
         # and the ceiling really dominates the loss across the band
-        assert np.all(loss_values(x, 1.0, 0.0, n) <= ceiling_curve + 1e-12)
+        assert np.all(loss(x, 1.0, 0.0, n) <= ceiling_curve + 1e-12)
 
 
 def test_slope_floor_table_for_ten_packets():
@@ -129,7 +129,7 @@ def test_design_rule_exactness_and_dominance():
             poles = [q * math.pi for q in (-1, 0, 1, 2)
                      if abs(0.5 * slope * t - q * math.pi) <= math.pi / 2 - 0.01]
             x = np.concatenate([x, poles]) if poles else x
-            return float(np.max(loss_values(x, 1.0, 0.0, n)))
+            return float(np.max(loss(x, 1.0, 0.0, n)))
 
         per_q = {q: worst_loss(q * base) for q in range(1, n)}
         best = min(per_q.values())

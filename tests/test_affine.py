@@ -158,7 +158,7 @@ def make_responses(phase0, phase1, mag0=None, mag1=None):
     n = len(phase0)
     times = np.arange(n) * 0.1
     ones = np.ones(n)
-    return BurstResponses(times=times, aoa=np.zeros(n),
+    return BurstResponses(times=times,
                           mag0=ones if mag0 is None else np.asarray(mag0),
                           phase0=np.asarray(phase0, dtype=float),
                           mag1=ones if mag1 is None else np.asarray(mag1),

@@ -1,4 +1,4 @@
-"""Antenna patterns: interpolation, worst-case AOA, CSV exchange."""
+"""Antenna patterns: interpolation, worst-case AOA, builtins, CSV loading."""
 
 import math
 
@@ -9,12 +9,25 @@ from hypothesis import strategies as st
 
 from phasecomb import (AntennaPattern, EmptyPattern, MalformedRow,
                        NonMonotonicAzimuth, ScenarioParams, aoa_exact,
-                       builtin_pattern, cardioid_pattern, combined_mean_gain,
-                       isotropic_pattern, load_pattern_csv,
-                       patch_pair_patterns, sample_responses, save_pattern_csv,
-                       single_lobe_pattern, worst_case_aoa)
+                       builtin_pattern, combined_mean_gain, load_pattern_csv,
+                       sample_responses, worst_case_aoa)
+from phasecomb.antenna import BUILTIN_PATTERNS
 
 TWO_PI = 2.0 * math.pi
+
+
+def patch_pair():
+    return builtin_pattern("patch_front"), builtin_pattern("patch_rear")
+
+
+def lobe_pattern(boresight_deg, front_dbi, back_dbi, n_points):
+    # power gain in dBi swinging cosinusoidally from front_dbi at boresight
+    # to back_dbi opposite it, zero phase
+    az = np.arange(n_points) * (TWO_PI / n_points)
+    gain_dbi = (0.5 * (front_dbi + back_dbi)
+                + 0.5 * (front_dbi - back_dbi) * np.cos(az - math.radians(boresight_deg)))
+    return AntennaPattern(azimuth=az, magnitude=10.0 ** (gain_dbi / 20.0),
+                          phase=np.zeros(n_points))
 
 
 def two_point_pattern():
@@ -97,14 +110,13 @@ def test_constructor_validation():
 
 def test_combined_mean_gain_hand_value():
     p0 = two_point_pattern()
-    p1 = isotropic_pattern()
+    p1 = builtin_pattern("isotropic")
     # at pi/2: |g0| = 2, |g1| = 1 -> (4 + 1) / 2
     assert combined_mean_gain(p0, p1, math.pi / 2.0) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_worst_case_aoa_against_dense_scan():
-    lam = 0.0508
-    p0, p1 = patch_pair_patterns(lam)
+    p0, p1 = patch_pair()
     got = worst_case_aoa(p0, p1)
     grid = np.linspace(0.0, TWO_PI, 720_001)
     vals = combined_mean_gain(p0, p1, grid)
@@ -131,7 +143,7 @@ def test_worst_case_aoa_exact_on_unaligned_grids(lobe0, lobe1):
     # different node counts put the two grids' breakpoints apart, so the
     # merged segments differ from either pattern's own
     assume(lobe0["n_points"] != lobe1["n_points"])
-    p0, p1 = single_lobe_pattern(**lobe0), single_lobe_pattern(**lobe1)
+    p0, p1 = lobe_pattern(**lobe0), lobe_pattern(**lobe1)
     got = worst_case_aoa(p0, p1)
     assert 0.0 <= got < TWO_PI
     grid = np.linspace(0.0, TWO_PI, 720_001)
@@ -141,8 +153,7 @@ def test_worst_case_aoa_exact_on_unaligned_grids(lobe0, lobe1):
 
 def test_worst_case_aoa_patch_pair_finds_broadside_null():
     # back-to-back identical lobes put the minima at 90 and 270 deg
-    lam = 0.0508
-    p0, p1 = patch_pair_patterns(lam)
+    p0, p1 = patch_pair()
     got = worst_case_aoa(p0, p1)
     dist = min(abs(got - math.pi / 2.0), abs(got - 3.0 * math.pi / 2.0))
     assert dist < 1e-3
@@ -153,26 +164,24 @@ def test_worst_case_aoa_tie_breaks_to_smallest_angle():
     az = np.array([0.0, 1.4, 1.6, 3.0, 4.4, 4.6])
     mag = np.array([2.0, 1.0, 1.0, 2.0, 1.0, 1.0])
     pat = AntennaPattern(azimuth=az, magnitude=mag, phase=np.zeros(6))
-    got = worst_case_aoa(pat, isotropic_pattern())
+    got = worst_case_aoa(pat, builtin_pattern("isotropic"))
     assert 1.3 < got < 1.7
 
 
 def test_worst_case_aoa_isotropic_returns_zero():
-    p = isotropic_pattern()
+    p = builtin_pattern("isotropic")
     assert worst_case_aoa(p, p) == 0.0
 
 
 def test_sample_responses_follows_trajectory():
-    lam = 0.0508
-    p0, p1 = patch_pair_patterns(lam)
+    p0, p1 = patch_pair()
     scen = ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=10.0, delta_a=0.5,
-                          wavelength=lam, n_packets=6)
+                          wavelength=0.0508, n_packets=6)
     offset = 0.3
     resp = sample_responses(p0, p1, scen, phi0_offset=offset)
     tk = scen.packet_times()
     np.testing.assert_allclose(resp.times, tk, atol=0.0)
     want_phi = np.mod(aoa_exact(scen, tk) + offset, TWO_PI)
-    np.testing.assert_allclose(resp.aoa, want_phi, atol=1e-12)
     m0, f0 = p0.evaluate(want_phi)
     np.testing.assert_allclose(resp.mag0, m0, atol=0.0)
     np.testing.assert_allclose(resp.phase0, f0, atol=0.0)
@@ -181,68 +190,45 @@ def test_sample_responses_follows_trajectory():
 
 
 # ---------------------------------------------------------------------------
-# synthetic patterns
+# builtin patterns
 # ---------------------------------------------------------------------------
 
-def test_single_lobe_front_to_back():
-    pat = single_lobe_pattern(0.0, front_dbi=6.0, back_dbi=-10.0)
-    m_front, _ = pat.evaluate(0.0)
-    m_back, _ = pat.evaluate(math.pi)
+def test_builtin_patterns_load():
+    assert BUILTIN_PATTERNS == ("isotropic", "cardioid", "patch_front", "patch_rear")
+    for name in BUILTIN_PATTERNS:
+        pat = builtin_pattern(name)
+        assert pat.azimuth.size >= 36
+    # only the listed bare names, not file names or paths into the package
+    for name in ("does_not_exist", "isotropic.csv", "../patterns/isotropic", ""):
+        with pytest.raises(FileNotFoundError):
+            builtin_pattern(name)
+
+
+def test_builtin_patch_front_to_back():
+    m_front, _ = builtin_pattern("patch_front").evaluate(0.0)
+    m_back, _ = builtin_pattern("patch_front").evaluate(math.pi)
     assert 20.0 * math.log10(m_front) == pytest.approx(6.0, abs=1e-9)
     assert 20.0 * math.log10(m_back) == pytest.approx(-10.0, abs=1e-9)
 
 
-def test_single_lobe_phase_center_offset():
-    lam = 0.05
-    off = 0.03
-    pat = single_lobe_pattern(0.0, phase_center_offset_m=off, wavelength=lam)
-    _, p_front = pat.evaluate(0.0)
-    assert p_front == pytest.approx(-TWO_PI * off / lam, abs=1e-9)
-    with pytest.raises(ValueError):
-        single_lobe_pattern(0.0, phase_center_offset_m=off)
-
-
-def test_cardioid_rear_null_depth():
-    pat = cardioid_pattern(0.0, front_dbi=6.0)
+def test_builtin_cardioid_rear_null_depth():
+    pat = builtin_pattern("cardioid")
     m_front, _ = pat.evaluate(0.0)
     m_back, _ = pat.evaluate(math.pi)
     assert 20.0 * math.log10(m_front / m_back) == pytest.approx(40.0, abs=1e-9)
 
 
-def test_patch_pair_is_mirrored():
-    lam = 0.0508
-    front, rear = patch_pair_patterns(lam)
+def test_builtin_patch_pair_is_mirrored():
+    front, rear = patch_pair()
     for phi in (0.0, 0.7, 2.0):
         mf, _ = front.evaluate(phi)
         mr, _ = rear.evaluate(math.pi + phi)
         assert mf == pytest.approx(mr, rel=1e-9)
 
 
-def test_builtin_patterns_load():
-    for name in ("isotropic", "cardioid", "patch_front", "patch_rear"):
-        pat = builtin_pattern(name)
-        assert pat.azimuth.size >= 36
-    with pytest.raises(FileNotFoundError):
-        builtin_pattern("does_not_exist")
-
-
 # ---------------------------------------------------------------------------
 # CSV exchange format
 # ---------------------------------------------------------------------------
-
-def test_csv_round_trip(tmp_path):
-    lam = 0.0508
-    pat = single_lobe_pattern(30.0, phase_center_offset_m=0.03, wavelength=lam)
-    path = tmp_path / "lobe.csv"
-    save_pattern_csv(pat, path)
-    loaded = load_pattern_csv(path)
-    np.testing.assert_allclose(loaded.azimuth, pat.azimuth, atol=1e-7)
-    np.testing.assert_allclose(loaded.magnitude, pat.magnitude, rtol=1e-9)
-    # phase comes back wrapped-then-unwrapped: equal up to one global 2 pi
-    delta = loaded.phase - pat.phase
-    np.testing.assert_allclose(delta, delta[0], atol=1e-9)
-    assert abs(delta[0] / TWO_PI - round(delta[0] / TWO_PI)) < 1e-9
-
 
 def test_csv_header_and_units(tmp_path):
     path = tmp_path / "pat.csv"

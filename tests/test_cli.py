@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, output files."""
 
+import math
 import subprocess
 import sys
 
@@ -119,6 +120,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run_cli(["speed-sweep", "--slopes", "junk", "--out", out]) == 2
     assert run_cli(["speed-sweep", "--paths", "bogus", "--out", out]) == 2
     capsys.readouterr()
+    for paths in (",", " , "):
+        assert run_cli(["speed-sweep", "--paths", paths, "--out", out]) == 2
+        assert "usage error: no evaluation paths" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -138,10 +143,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     (["a-omega-range", "--dx-min", "50", "--dx-max", "10"], "empty distance grid"),
     (["a-omega-range", "--dv-max", "-5"], "empty speed grid"),
     (["validate", "--seed", "-1"], "at least 0"),
+    (["loss-curve", "--step", "4"], "empty x grid"),
+    (["loss-curve", "--step", str(math.pi)], "empty x grid"),
 ], ids=["step", "dv-step", "a-omega-dv-step", "dx-step", "T", "interval",
         "loss-curve-packets", "a-omega-K", "speed-sweep-packets", "pl-losses-K",
         "design-rule-K", "speed-sweep-seed", "speed-sweep-empty-dv",
-        "a-omega-empty-dx", "a-omega-empty-dv", "validate-seed"])
+        "a-omega-empty-dx", "a-omega-empty-dv", "validate-seed",
+        "loss-curve-empty-x", "loss-curve-step-pi"])
 def test_nonpositive_steps_exit_two_with_usage(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
     no_out = argv[0] in ("design-rule", "validate")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,14 @@ def test_loss_curve_structure():
     assert np.all(res.series["loss"] >= 0.0)
     assert np.all(res.series["loss"] <= 1.0 + 1e-12)
     assert res.metadata["n_packets"] == 5
+
+
+def test_loss_curve_rejects_an_empty_x_grid():
+    # a step of pi or more leaves no point in (0, pi)
+    for step in (math.pi, 4.0):
+        with pytest.raises(ValueError, match="empty x grid"):
+            loss_curve(5, x_step=step)
+    assert loss_curve(5, x_step=3.0).values.tolist() == [3.0]
 
 
 def test_loss_curve_constant_weights_sit_on_lower_bound():
@@ -210,6 +219,14 @@ def test_speed_sweep_rejects_bad_requests():
         speed_sweep("omega", {"q1": BASE_SLOPE}, [[0.0, 10.0], [20.0, 30.0]], base_scen())
     with pytest.raises(ValueError, match="empty offset grid"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), d_y_values=())
+    with pytest.raises(ValueError, match="no evaluation paths"):
+        speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=())
+    with pytest.raises(ValueError, match="no slopes"):
+        speed_sweep("omega", {}, [0.0], base_scen())
+    patterns = (builtin_pattern("patch_front"), builtin_pattern("patch_rear"))
+    with pytest.raises(ValueError, match="no evaluation paths"):
+        speed_sweep("combined", {"q1": BASE_SLOPE}, [0.0], base_scen(),
+                    model=PathlossModel(), patterns=patterns, paths=())
 
 
 def test_speed_sweep_static_channel_is_lossless():
@@ -317,3 +334,21 @@ def test_pl_slope_losses_scenario_floor_above_universal():
     assert np.all(res.series["floor_scenario_db"]
                   >= res.series["floor_universal_db"] - 1e-12)
     assert math.isfinite(res.metadata["c2_over_c1"])
+
+
+def test_pl_slope_losses_two_packets_floor_without_warning():
+    # K = 2: the universal floor 1 - 1/sin(pi/2) is exactly 0, i.e. -inf dB
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = pl_slope_losses(2)
+    assert res.series["floor_universal_db"].tolist() == [-math.inf]
+    assert math.isfinite(res.series["floor_scenario_db"][0])
+
+
+def test_pl_slope_losses_floors_are_plain_db():
+    for n in range(3, 13):
+        res = pl_slope_losses(n)
+        x = np.arange(1, n) * math.pi / n
+        want = 10.0 * np.log10(1.0 - 1.0 / ((n - 1) * np.sin(x)))
+        assert res.series["floor_universal_db"].tolist() == want.tolist()
+        assert np.all(np.isfinite(res.series["floor_scenario_db"]))

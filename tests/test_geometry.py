@@ -58,11 +58,6 @@ def test_burst_timing():
     assert scen.burst_window == pytest.approx(0.8, abs=1e-15)
     np.testing.assert_allclose(scen.packet_times(),
                                [0.0, 0.2, 0.4, 0.6, 0.8], atol=1e-15)
-    grid = scen.time_grid(steps_per_interval=4)
-    assert grid.shape == (17,)
-    assert grid[0] == 0.0
-    assert grid[-1] == pytest.approx(scen.burst_window, abs=1e-15)
-    np.testing.assert_allclose(np.diff(grid), 0.05, atol=1e-12)
 
 
 def test_transmitter_distance_hand_value():

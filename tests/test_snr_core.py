@@ -20,8 +20,7 @@ from phasecomb import (DomainX, NonPositiveC1, TooFewPackets,
                        affine_coefficients, c_ratio_squared, check_optimality,
                        design_rule_alpha_star, f1, f2, in_severe_set,
                        in_zero_loss_set, interval_loss_bound, j_affine,
-                       loss, loss_bounds, loss_values,
-                       min_cross_term, optimal_slope_set, worst_case_y)
+                       loss, loss_bounds, min_cross_term, optimal_slope_set, worst_case_y)
 from phasecomb import snr, validation
 from phasecomb.snr import _dirichlet_values
 from phasecomb.validation import worst_case_y_scan
@@ -168,7 +167,7 @@ def test_array_kernels_match_scalar_kernels(xs, n, c1, w):
         assert abs(a - f1(xi, n)) <= 1e-10 * max(1.0, abs(a))
         assert abs(b - f2(xi, n)) <= 1e-10 * max(1.0, abs(b))
     c2 = w * c1 / (n - 1)
-    np.testing.assert_allclose(loss_values(x, c1, c2, n),
+    np.testing.assert_allclose(loss(x, c1, c2, n),
                                [loss(xi, c1, c2, n) for xi in xs], rtol=0.0, atol=1e-15)
     lower, upper = loss_bounds(x, n)
     want = np.array([loss_bounds(xi, n) for xi in xs])
@@ -518,38 +517,69 @@ def test_loss_symmetries():
         assert loss(-x, 1.3, 0.04, 10) == pytest.approx(base, abs=1e-12)
 
 
-def test_loss_values_matches_scalar_everywhere():
+# mixed severe, near-pole and plain points
+MIXED_X = (0.0, math.pi, 1e-6, math.pi - 1e-5, math.pi / 10.0,
+           0.4, 1.3, 2.7, 3.0, math.pi + 0.02, 2.0 * math.pi - 1e-4)
+# loss(x, 1.2, 0.05, 10) at MIXED_X, from the scalar and the array kernel alike
+MIXED_LOSS_HEX = (
+    "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.ffffffffddcb7p-1",
+    "0x1.fffffff2a37cfp-1", "0x1.1424fbd0ff870p-3", "0x1.9b6098462deb1p-3",
+    "0x1.ddcea60485880p-5", "0x1.caa52b7cd52e8p-3", "0x1.6f9bfb8f5176dp-1",
+    "0x1.fcd21af7d0a41p-1", "0x1.fffffac7dcd24p-1")
+
+
+def test_loss_dispatches_on_input_type():
+    want = [float.fromhex(h) for h in MIXED_LOSS_HEX]
+    # floats take the scalar kernel and give floats
+    for x, w in zip(MIXED_X, want):
+        got = loss(x, 1.2, 0.05, 10)
+        assert type(got) is float and got == w
+    # an array in any argument takes the array kernel and gives an array
+    x = np.array(MIXED_X)
+    for got in (loss(x, 1.2, 0.05, 10), loss(x, np.float64(1.2), 0.05, 10),
+                loss(x, np.full(x.shape, 1.2), 0.05, 10),
+                loss(x, 1.2, np.full(x.shape, 0.05), 10)):
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        assert got.tolist() == want
+    for i, xi in enumerate(MIXED_X):
+        for got in (loss(xi, np.array([1.2]), 0.05, 10), loss(xi, 1.2, np.array([0.05]), 10)):
+            assert isinstance(got, np.ndarray) and got.tolist() == [want[i]]
+    # numpy scalars are not arrays: they stay on the scalar kernel
+    assert loss(np.float64(0.4), np.float64(1.2), np.float64(0.05), 10) == want[5]
+    assert not isinstance(loss(np.float64(0.4), 1.2, 0.05, 10), np.ndarray)
+
+
+def test_loss_on_arrays_matches_scalar_everywhere():
     # mixed severe, near-pole and plain points through the vector path
-    x = np.array([0.0, math.pi, 1e-6, math.pi - 1e-5, math.pi / 10.0,
-                  0.4, 1.3, 2.7, 3.0, math.pi + 0.02, 2.0 * math.pi - 1e-4])
-    got = loss_values(x, 1.2, 0.05, 10)
+    x = np.array(MIXED_X)
+    got = loss(x, 1.2, 0.05, 10)
     want = np.array([loss(float(v), 1.2, 0.05, 10) for v in x])
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
     # per-point weights broadcast against x
     c1, c2 = np.array([[0.5], [1.2], [3.0]]), np.array([[-0.02], [0.05], [0.3]])
-    got = loss_values(x, c1, c2, 10)
+    got = loss(x, c1, c2, 10)
     want = np.array([[loss(float(v), a, b, 10) for v in x] for a, b in zip(c1[:, 0], c2[:, 0])])
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
-def test_loss_values_rejects_nonpositive_mean_weight():
+def test_loss_on_arrays_rejects_nonpositive_mean_weight():
     with pytest.raises(NonPositiveC1):
-        loss_values(np.array([0.5]), 0.0, 0.0, 10)
+        loss(np.array([0.5]), 0.0, 0.0, 10)
     with pytest.raises(NonPositiveC1):
-        loss_values(np.array([0.5]), math.nan, 0.0, 10)
+        loss(np.array([0.5]), math.nan, 0.0, 10)
     with pytest.raises(NonPositiveC1):
-        loss_values(np.array([0.5]), math.inf, 0.0, 10)
+        loss(np.array([0.5]), math.inf, 0.0, 10)
     for c2 in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            loss_values(np.array([0.5]), 1.0, c2, 10)
+            loss(np.array([0.5]), 1.0, c2, 10)
     # one bad entry of a weight array is enough
     x = np.array([0.5, 0.6, 0.7])
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(NonPositiveC1):
-            loss_values(x, np.array([1.0, bad, 2.0]), 0.0, 10)
+            loss(x, np.array([1.0, bad, 2.0]), 0.0, 10)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            loss_values(x, np.array([1.0, 1.0, 2.0]), np.array([0.0, bad, 0.1]), 10)
+            loss(x, np.array([1.0, 1.0, 2.0]), np.array([0.0, bad, 0.1]), 10)
 
 
 def test_loss_bounds_severe_collapse():
@@ -561,7 +591,7 @@ def test_loss_bounds_severe_collapse():
         with pytest.raises(TooFewPackets):
             loss(0.3, 1.0, 0.1, n)
         with pytest.raises(TooFewPackets):
-            loss_values(np.array([0.3]), 1.0, 0.1, n)
+            loss(np.array([0.3]), 1.0, 0.1, n)
         with pytest.raises(TooFewPackets):
             worst_case_y(0.3, 1.0, 0.1, n)
 
@@ -580,7 +610,7 @@ def test_interval_loss_bound_values():
 def test_interval_loss_bound_dominates_constant_weight_loss():
     n = 10
     x = np.linspace(math.pi / n, (n - 1) * math.pi / n, 4001)
-    vals = loss_values(x, 1.0, 0.0, n)
+    vals = loss(x, 1.0, 0.0, n)
     assert float(np.max(vals)) <= interval_loss_bound(n) + 1e-12
 
 
