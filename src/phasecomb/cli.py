@@ -139,9 +139,10 @@ def _cmd_speed_sweep(args) -> int:
     base = geometry.ScenarioParams(
         d_x=args.dx, d_y=args.dy, delta_v=0.0, delta_a=spacing, wavelength=wavelength,
         n_packets=args.packets, t_interval=args.interval)
-    model = _model(args) if args.mode in ("pl", "combined") else None
+    _, uses_pl, uses_resp = snr._FACTORS[args.mode]
+    model = _model(args) if uses_pl else None
     patterns = ((_resolve_pattern(args.pattern0), _resolve_pattern(args.pattern1))
-                if args.mode in ("phi", "combined") else None)
+                if uses_resp else None)
     if args.paths.strip() == "both":
         paths = ("exact", "affine")
     else:
@@ -248,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("speed-sweep",
                        help="worst-case sum-SNR versus relative speed")
     add_common(p, "speed_sweep.csv")
-    p.add_argument("--mode", choices=("omega", "pl", "phi", "combined"),
-                   default="omega")
+    p.add_argument("--mode", choices=tuple(snr._FACTORS), default="omega")
     p.add_argument("--fc-ghz", type=float, default=5.9)
     p.add_argument("--spacing", type=float, default=None)
     p.add_argument("--dx", type=float, default=30.0)
@@ -302,8 +302,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        parser.error(str(exc))
     except (PhasecombError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

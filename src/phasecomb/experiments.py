@@ -137,11 +137,12 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     d_y_values when given (otherwise the base scenario's d_y is used).
     A zero-loss reference series is included for the exact path.
     """
-    if mode not in ("omega", "pl", "phi", "combined"):
+    if mode not in snr._FACTORS:
         raise ValueError(f"unknown sweep mode {mode!r}")
-    if mode in ("pl", "combined") and model is None:
+    _, uses_pl, uses_resp = snr._FACTORS[mode]
+    if uses_pl and model is None:
         raise ValueError(f"mode {mode!r} needs a pathloss model")
-    if mode in ("phi", "combined") and patterns is None:
+    if uses_resp and patterns is None:
         raise ValueError(f"mode {mode!r} needs a pair of antenna patterns")
     if not set(paths) <= {"exact", "affine"}:
         raise ValueError(f"unknown evaluation paths in {paths!r}")
@@ -155,14 +156,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         raise ValueError("speed grid must be one-dimensional")
     if not offsets:
         raise ValueError("empty offset grid")
-    phi_min = antenna.worst_case_aoa(*patterns) if mode in ("phi", "combined") else None
-    build = {
-        "omega": lambda scen, exact: snr._omega_terms(scen, exact, t0),
-        "pl": lambda scen, exact: snr._pl_terms(scen, model, exact, "taylor", t0),
-        "phi": lambda scen, exact: snr._phi_terms(scen, *patterns, exact, phi_min),
-        "combined": lambda scen, exact: snr._combined_terms(scen, model, *patterns,
-                                                            exact, t0, phi_min),
-    }[mode]
+    phi_min = antenna.worst_case_aoa(*patterns) if uses_resp else None
     speeds = geometry.kmh_to_mps(dv_kmh_values)
     dy = np.array([float(v) for v in offsets])
     built = tuple(dict.fromkeys((*paths, "exact")))
@@ -174,7 +168,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     for block in np.split(speeds, range(rows, speeds.size, rows)):
         try:
             grid = _grid(base, dy[None, :], block[:, None])
-            terms = {path: build(grid, path == "exact") for path in built}
+            terms = snr._terms(grid, mode, built, model, patterns, phi_min, "taylor", t0)
             worst = {path: snr._worst(grid, terms[path], slope_grid) for path in paths}
         except (PhasecombError, ValueError):
             # raise the first failing scenario's error, not the grid's first failing check
@@ -182,7 +176,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
                 scens = [_grid(base, d, v) for d in dy]
                 for path in built:
                     for scen in scens:
-                        build(scen, path == "exact")
+                        snr._terms(scen, mode, (path,), model, patterns, phi_min, "taylor", t0)
             raise
         gain, norm, _ = terms["exact"]  # gain / norm is a float in omega mode
         worst["reference"] = np.broadcast_to(gain / norm, (block.size, dy.size))

@@ -299,74 +299,67 @@ def check_optimality(slopes: Sequence[float], n_packets: int,
 
 
 # ---------------------------------------------------------------------------
-# Mode evaluators: worst-case sum-SNR with one channel quantity time-varying.
-# A builder samples a scenario (or a geometry._ScenarioGrid) once for every
+# Mode evaluators: worst-case sum-SNR with channel quantities drifting.  Each
+# mode drifts the factors _FACTORS marks (phase difference, path gain,
+# antenna responses); weights multiply the gain factors, phases add up.
+# _terms samples a scenario (or a geometry._ScenarioGrid) once for every
 # slope into (gain, norm, cross): the value at a slope is (gain + min of the
 # cross term over the offset) / norm, the cross term given by per-packet
 # (weights, phases) or by (c1, c2, drift) of its affine closed form.
 # ---------------------------------------------------------------------------
-
-def _omega_terms(scen, use_exact: bool, t0: float | None):
-    n = scen.n_packets
-    if use_exact:
-        return n, n, (1.0, geometry.omega_exact(scen, scen.packet_times()))
-    return n, n, (1.0, 0.0, affine.taylor_omega(scen, t0).slope)
+_FACTORS = {"omega": (True, False, False), "pl": (True, True, False),
+            "phi": (False, False, True), "combined": (True, True, True)}
 
 
-def _pl_terms(scen, model, use_exact: bool, fit: str, t0: float | None):
+def _terms(scen, mode, paths, model, patterns, phi_min, fit, t0):
+    """{path: (gain, norm, cross)} for each path in paths from one sampling
+    of the mode's factors.  The affine path fits each factor; with two
+    drifting weight factors (combined) it samples the composed fits."""
+    has_omega, has_pl, has_resp = _FACTORS[mode]
     n = scen.n_packets
     tk = scen.packet_times()
-    norm = n * pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, 0.0))
-    if use_exact:
-        w = pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, tk))
-        return np.sum(w, axis=0), norm, (w, geometry.omega_exact(scen, tk))
-    if fit == "taylor":
-        pg = affine.taylor_pathgain(model, scen, t0)
-    elif fit == "least_squares":
-        w = pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, tk))
-        pg = affine.least_squares_fit(tk, w)
-        affine.require_positive(pg, tk)
-    else:
-        raise ValueError(f"unknown fit method {fit!r}")
-    drift = affine.taylor_omega(scen, t0).slope
-    c1, c2 = affine_coefficients(pg.slope, pg.intercept, n, scen.t_interval)
-    return c1 * n, norm, (c1, c2, drift)
-
-
-def _responses(scen, pattern0, pattern1, phi_min: float):
-    # Shift the AOA trajectory so the first packet arrives from phi_min.
-    resp = antenna.sample_responses(pattern0, pattern1, scen,
-                                    phi_min - geometry.aoa_exact(scen, 0.0))
-    return resp, 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
-
-
-def _phi_terms(scen, pattern0, pattern1, use_exact: bool, phi_min: float):
-    n = scen.n_packets
-    resp, half_gain = _responses(scen, pattern0, pattern1, phi_min)
-    gain = np.sum(half_gain, axis=0)
-    norm = n * antenna.combined_mean_gain(pattern0, pattern1, phi_min)
-    if use_exact:
-        return gain, norm, (resp.mag0 * resp.mag1, resp.phase0 - resp.phase1)
-    product = affine.fit_antenna_gain_product(resp)
-    c1, c2 = affine_coefficients(product.slope, product.intercept, n, scen.t_interval)
-    return gain, norm, (c1, c2, affine.fit_antenna_phase_diff(resp).slope)
-
-
-def _combined_terms(scen, model, pattern0, pattern1, use_exact: bool,
-                    t0: float | None, phi_min: float):
-    resp, half_gain = _responses(scen, pattern0, pattern1, phi_min)
-    tk = resp.times
-    if use_exact:
+    if has_resp:
+        # shift the AOA trajectory so the first packet arrives from phi_min
+        resp = antenna.sample_responses(*patterns, scen, phi_min - geometry.aoa_exact(scen, 0.0))
+        half_gain = 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
+    norm = (1.0 / DESIGN_SNR_SCALE if has_pl and has_resp
+            else n * pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, 0.0))
+            if has_pl else n * antenna.combined_mean_gain(*patterns, phi_min) if has_resp else n)
+    if has_pl and ("exact" in paths or fit == "least_squares"):
         pl = pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, tk))
-        w = pl * resp.mag0 * resp.mag1
-        phase = geometry.omega_exact(scen, tk) + (resp.phase0 - resp.phase1)
-    else:
-        om = affine.taylor_omega(scen, t0)
-        pl = affine.taylor_pathgain(model, scen, t0)(tk)
-        dphase = affine.fit_antenna_phase_diff(resp)
-        w = pl * affine.fit_antenna_gain_product(resp)(tk)
-        phase = om(tk) + dphase(tk)
-    return np.sum(pl * half_gain, axis=0), 1.0 / DESIGN_SNR_SCALE, (w, phase)
+    terms = {}
+    if "exact" in paths:
+        w = pl if has_pl else 1.0
+        phase = geometry.omega_exact(scen, tk) if has_omega else None
+        gain = np.sum(pl, axis=0) if has_pl and not has_resp else n
+        if has_resp:
+            w = w * resp.mag0 * resp.mag1 if has_pl else resp.mag0 * resp.mag1
+            phase = phase + (resp.phase0 - resp.phase1) if has_omega else resp.phase0 - resp.phase1
+            gain = np.sum(pl * half_gain if has_pl else half_gain, axis=0)
+        terms["exact"] = gain, norm, (w, phase)
+    if "affine" in paths:
+        om = affine.taylor_omega(scen, t0) if has_omega else None
+        if has_pl and fit == "taylor":
+            pg = affine.taylor_pathgain(model, scen, t0)
+        elif has_pl and fit == "least_squares":
+            pg = affine.least_squares_fit(tk, pl)
+            affine.require_positive(pg, tk)
+        elif has_pl:
+            raise ValueError(f"unknown fit method {fit!r}")
+        if has_resp:
+            product = affine.fit_antenna_gain_product(resp)
+            dphase = affine.fit_antenna_phase_diff(resp)
+        if has_pl and has_resp:
+            pl_fit = pg(tk)
+            terms["affine"] = (np.sum(pl_fit * half_gain, axis=0), norm,
+                               (pl_fit * product(tk), om(tk) + dphase(tk)))
+        else:
+            weight = pg if has_pl else product if has_resp else None
+            c1, c2 = ((1.0, 0.0) if weight is None else
+                      affine_coefficients(weight.slope, weight.intercept, n, scen.t_interval))
+            gain = np.sum(half_gain, axis=0) if has_resp else c1 * n
+            terms["affine"] = gain, norm, (c1, c2, (om if has_omega else dphase).slope)
+    return terms
 
 
 def _worst(scen, terms, slope):
@@ -386,12 +379,19 @@ def _worst(scen, terms, slope):
     return (gain + min_cross_term(w, phase - slope * tk)) / norm
 
 
+def _sum_snr(slope, scen, mode, use_exact, model=None, patterns=None, fit="taylor", t0=None):
+    path = "exact" if use_exact else "affine"
+    phi_min = None if patterns is None else antenna.worst_case_aoa(*patterns)
+    return float(_worst(scen, _terms(scen, mode, (path,), model, patterns, phi_min, fit, t0)[path],
+                        slope))
+
+
 def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,
                   use_exact: bool = True, t0: float | None = None) -> float:
     """Worst-case sum-SNR with only the branch phase difference varying, over
     n_packets (1.0 means no combining loss).  The exact path takes the true
     phase difference, the affine path its linearization around t0."""
-    return float(_worst(scen, _omega_terms(scen, use_exact, t0), slope))
+    return _sum_snr(slope, scen, "omega", use_exact, t0=t0)
 
 
 def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
@@ -400,7 +400,7 @@ def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
     """Worst-case sum-SNR with the mean path gain (and any phase difference)
     varying, over n_packets times the path gain at t = 0.  The affine path
     fits the path gain by "taylor" at t0 or by "least_squares"."""
-    return float(_worst(scen, _pl_terms(scen, model, use_exact, fit, t0), slope))
+    return _sum_snr(slope, scen, "pl", use_exact, model, fit=fit, t0=t0)
 
 
 def sum_snr_phi(slope: float, scen: geometry.ScenarioParams,
@@ -409,8 +409,7 @@ def sum_snr_phi(slope: float, scen: geometry.ScenarioParams,
     """Worst-case sum-SNR with only the angle of arrival varying.  The first
     packet arrives from the worst-case AOA; the burst is normalized by
     n_packets times the mean branch gain there."""
-    return float(_worst(scen, _phi_terms(scen, pattern0, pattern1, use_exact,
-                                         antenna.worst_case_aoa(pattern0, pattern1)), slope))
+    return _sum_snr(slope, scen, "phi", use_exact, patterns=(pattern0, pattern1))
 
 
 def sum_snr_combined(slope: float, scen: geometry.ScenarioParams,
@@ -421,6 +420,4 @@ def sum_snr_combined(slope: float, scen: geometry.ScenarioParams,
     """Worst-case sum-SNR with phase difference, path gain and AOA all varying,
     times DESIGN_SNR_SCALE.  Weights compose multiplicatively and phases
     additively; the affine path fits each factor separately (approximation)."""
-    return float(_worst(scen, _combined_terms(scen, model, pattern0, pattern1, use_exact, t0,
-                                              antenna.worst_case_aoa(pattern0, pattern1)),
-                        slope))
+    return _sum_snr(slope, scen, "combined", use_exact, model, (pattern0, pattern1), t0=t0)

@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 import phasecomb
-from phasecomb import (PathlossModel, ScenarioParams, a_omega_range,
-                       affine_coefficients, builtin_pattern,
+from phasecomb import (PathlossModel, ScenarioParams, a_omega_range, builtin_pattern,
                        carrier_wavelength, cli, design_rule_alpha_star,
                        interval_loss_bound, j_affine, loss,
                        pl_slope_losses, run_validation, speed_sweep,

@@ -114,18 +114,6 @@ def test_speed_sweep_paths_both_alias(tmp_path, capsys):
 # failure modes
 # ---------------------------------------------------------------------------
 
-def test_usage_errors_exit_two(tmp_path, capsys):
-    out = str(tmp_path / "x.csv")
-    assert run_cli(["speed-sweep", "--slopes", "0", "--out", out]) == 2
-    assert run_cli(["speed-sweep", "--slopes", "junk", "--out", out]) == 2
-    assert run_cli(["speed-sweep", "--paths", "bogus", "--out", out]) == 2
-    capsys.readouterr()
-    for paths in (",", " , "):
-        assert run_cli(["speed-sweep", "--paths", paths, "--out", out]) == 2
-        assert "usage error: no evaluation paths" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
-
-
 @pytest.mark.parametrize("argv, message", [
     (["loss-curve", "--step", "0"], "positive"),
     (["speed-sweep", "--dv-step", "0"], "positive"),
@@ -145,11 +133,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     (["validate", "--seed", "-1"], "at least 0"),
     (["loss-curve", "--step", "4"], "empty x grid"),
     (["loss-curve", "--step", str(math.pi)], "empty x grid"),
+    (["speed-sweep", "--slopes", "0"], "slope index 0 outside 1..9"),
+    (["speed-sweep", "--slopes", "junk"], "neither an integer index nor 'star'"),
+    (["speed-sweep", "--paths", "bogus"], "unknown evaluation path 'bogus'"),
+    (["speed-sweep", "--paths", ","], "no evaluation paths"),
+    (["speed-sweep", "--paths", " , "], "no evaluation paths"),
 ], ids=["step", "dv-step", "a-omega-dv-step", "dx-step", "T", "interval",
         "loss-curve-packets", "a-omega-K", "speed-sweep-packets", "pl-losses-K",
         "design-rule-K", "speed-sweep-seed", "speed-sweep-empty-dv",
         "a-omega-empty-dx", "a-omega-empty-dv", "validate-seed",
-        "loss-curve-empty-x", "loss-curve-step-pi"])
+        "loss-curve-empty-x", "loss-curve-step-pi", "slopes-zero", "slopes-junk",
+        "paths-bogus", "paths-comma", "paths-spaced-comma"])
 def test_nonpositive_steps_exit_two_with_usage(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
     no_out = argv[0] in ("design-rule", "validate")

@@ -157,6 +157,10 @@ ERROR_CASES = [
     ("omega", CROSSING, [NAN, -36.0], (-0.5,), BOTH, ValueError),
     ("omega", {}, [0.0, NAN], (1.0,), BOTH, ValueError),
     ("phi", {}, [0.0], (1.0, NAN), BOTH, ValueError),
+    # the phase-difference fit comes before the path-gain fit: on an antenna
+    # at t0 = 1 s the Taylor path gain would raise ValidityViolation
+    ("pl", {"d_x": 10.0, "delta_a": 1.0, "n_packets": 5, "t_interval": 0.5}, [-36.0],
+     (-0.5,), ("affine",), DegenerateGeometry),
 ]
 
 
@@ -335,6 +339,29 @@ def test_sweep_finds_worst_case_aoa_once(mode, monkeypatch):
                 scen_at(dv_kmh=0.0), model=MODEL, patterns=PATTERNS,
                 d_y_values=(-4.0, 4.0))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["phi", "combined"])
+def test_sweep_samples_responses_once(mode, monkeypatch):
+    # both paths share one sampling of the antenna responses per grid block
+    calls = []
+    original = antenna.sample_responses
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(antenna, "sample_responses", counting)
+    unit = TWO_PI / (10 * 0.1)
+    speed_sweep(mode, {"q1": unit, "q5": 5.0 * unit}, [-30.0, 0.0, 30.0],
+                scen_at(dv_kmh=0.0), model=MODEL, patterns=PATTERNS,
+                paths=("exact", "affine"), d_y_values=(-4.0, 4.0))
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", 1)  # one grid block per speed
+    speed_sweep(mode, {"q1": unit}, [-30.0, 0.0, 30.0], scen_at(dv_kmh=0.0), model=MODEL,
+                patterns=PATTERNS, paths=("exact", "affine"), d_y_values=(-4.0, 4.0))
+    assert len(calls) == 3
 
 
 def test_sweep_memory_stays_flat_as_the_speed_grid_grows():
