@@ -317,11 +317,11 @@ def _terms(scen, mode, paths, model, patterns, phi_min, fit, t0):
     drifting weight factors (combined) it samples the composed fits."""
     has_omega, has_pl, has_resp = _FACTORS[mode]
     n = scen.n_packets
-    tk = scen.packet_times()
     if has_resp:
         # shift the AOA trajectory so the first packet arrives from phi_min
         resp = antenna.sample_responses(*patterns, scen, phi_min - geometry.aoa_exact(scen, 0.0))
         half_gain = 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
+    tk = resp.times if has_resp else scen.packet_times()
     norm = (1.0 / DESIGN_SNR_SCALE if has_pl and has_resp
             else n * pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, 0.0))
             if has_pl else n * antenna.combined_mean_gain(*patterns, phi_min) if has_resp else n)

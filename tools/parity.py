@@ -34,10 +34,10 @@ MODES = ("omega", "pl", "phi", "combined")
 PATTERN_PAIRS = (("patch_front", "patch_rear"), ("isotropic", "cardioid"))
 
 
-def _value(call) -> str:
+def _value(pc, fn, *args, **kwargs) -> str:
     try:
-        return float(call()).hex()
-    except Exception as exc:  # any error class is a result to compare
+        return float(fn(*args, **kwargs)).hex()
+    except (pc.PhasecombError, ValueError) as exc:
         return type(exc).__name__
 
 
@@ -73,17 +73,16 @@ def _single_calls(pc, model, pairs):
         for path, exact in (("exact", True), ("affine", False)):
             for j, slope in enumerate(slopes):
                 key = f"{label}\t{path}\ts{j}"
-                yield f"omega\t{key}", _value(
-                    lambda: pc.sum_snr_omega(slope, scen, use_exact=exact))
+                yield f"omega\t{key}", _value(pc, pc.sum_snr_omega, slope, scen,
+                                               use_exact=exact)
                 for fit in ("taylor", "least_squares"):
-                    yield f"pl_{fit}\t{key}", _value(
-                        lambda: pc.sum_snr_pl(slope, scen, model, use_exact=exact, fit=fit))
+                    yield f"pl_{fit}\t{key}", _value(pc, pc.sum_snr_pl, slope, scen, model,
+                                                    use_exact=exact, fit=fit)
                 for name, pair in pairs.items():
-                    yield f"phi_{name}\t{key}", _value(
-                        lambda: pc.sum_snr_phi(slope, scen, *pair, use_exact=exact))
+                    yield f"phi_{name}\t{key}", _value(pc, pc.sum_snr_phi, slope, scen, *pair,
+                                                      use_exact=exact)
                     yield f"combined_{name}\t{key}", _value(
-                        lambda: pc.sum_snr_combined(slope, scen, model, *pair,
-                                                    use_exact=exact))
+                        pc, pc.sum_snr_combined, slope, scen, model, *pair, use_exact=exact)
 
 
 def _sweeps(pc, model, pairs):
@@ -110,7 +109,7 @@ def _sweeps(pc, model, pairs):
                             res = pc.speed_sweep(mode, slopes, dv, base, model=model,
                                                  patterns=pair, paths=paths,
                                                  d_y_values=offsets)
-                        except Exception as exc:
+                        except (pc.PhasecombError, ValueError) as exc:
                             yield key, type(exc).__name__
                             continue
                         for series, values in res.series.items():
