@@ -15,9 +15,10 @@ from .antenna import (AntennaPattern, BurstResponses, builtin_pattern,
                       combined_mean_gain, load_pattern_csv, sample_responses,
                       worst_case_aoa)
 from .errors import (DegenerateGeometry, DegenerateSamples, DomainX,
-                     EmptyPattern, MalformedRow, NonMonotonicAzimuth,
-                     NonPositiveC1, NonPositiveDistance, PhasecombError,
-                     PositivityViolation, TooFewPackets, ValidityViolation)
+                     EmptyPattern, InvalidRequest, MalformedRow,
+                     NonMonotonicAzimuth, NonPositiveC1, NonPositiveDistance,
+                     PhasecombError, PositivityViolation, TooFewPackets,
+                     ValidityViolation)
 from .experiments import (SweepResult, a_omega_range, loss_curve,
                           pl_slope_losses, speed_sweep, threshold_distance)
 from .geometry import (ScenarioParams, aoa_exact, carrier_wavelength,

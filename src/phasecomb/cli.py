@@ -4,7 +4,7 @@ Subcommands mirror the library drivers: loss-curve, a-omega-range,
 speed-sweep, pl-losses, design-rule, validate.  Distances are meters and
 speeds km/h on the command line; conversion to SI happens here and nowhere
 deeper.  Exit codes: 0 success, 1 runtime or validation failure, 2 usage
-(bad flags, including min/max flags that leave a sweep grid empty).
+(bad flags, or a request the library rejects as InvalidRequest).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import antenna, experiments, geometry, pathloss, snr, validation
-from .errors import PhasecombError
+from .errors import InvalidRequest, PhasecombError
 
 ENV_OUT_DIR = "PHASECOMB_OUT_DIR"
 
@@ -43,22 +43,6 @@ def _int_at_least(low: int, what: str):
         return value
     parse.__name__ = what  # argparse names it in "invalid <name> value"
     return parse
-
-
-def _empty_grid(args) -> str | None:
-    """Why the step or min/max flags leave a sweep grid empty, or None."""
-    if args.command == "loss-curve" and args.step >= math.pi:
-        return f"empty x grid: --step {args.step:g} is not below pi"
-    if args.command == "a-omega-range":
-        if args.dx_min > args.dx_max:
-            return (f"empty distance grid: --dx-min {args.dx_min:g} exceeds "
-                    f"--dx-max {args.dx_max:g}")
-        if args.dv_max < 0.0:
-            return f"empty speed grid: --dv-max {args.dv_max:g} is negative"
-    if args.command == "speed-sweep" and args.dv_min > args.dv_max:
-        return (f"empty speed grid: --dv-min {args.dv_min:g} exceeds "
-                f"--dv-max {args.dv_max:g}")
-    return None
 
 
 def _resolve_pattern(spec: str) -> antenna.AntennaPattern:
@@ -99,8 +83,6 @@ def _parse_slopes(spec: str, n_packets: int, t_interval: float) -> dict[str, flo
                 raise argparse.ArgumentTypeError(
                     f"slope index {q} outside 1..{n_packets - 1}")
             chosen[f"q{q}"] = q * base
-    if not chosen:
-        raise argparse.ArgumentTypeError("no slopes given")
     return chosen
 
 
@@ -114,7 +96,7 @@ def _cmd_loss_curve(args) -> int:
 
 def _cmd_a_omega_range(args) -> int:
     wavelength, spacing = _wavelength_spacing(args)
-    d_x = np.arange(args.dx_min, args.dx_max + 0.5 * args.dx_step, args.dx_step)
+    d_x = experiments._span(args.dx_min, args.dx_max, args.dx_step, "distance")
     result = experiments.a_omega_range(
         d_x, delta_a=spacing, wavelength=wavelength, n_packets=args.packets,
         t_interval=args.interval, dv_max_kmh=args.dv_max,
@@ -134,7 +116,7 @@ def _cmd_a_omega_range(args) -> int:
 
 def _cmd_speed_sweep(args) -> int:
     slopes = _parse_slopes(args.slopes, args.packets, args.interval)
-    dv = np.arange(args.dv_min, args.dv_max + 0.5 * args.dv_step, args.dv_step)
+    dv = experiments._span(args.dv_min, args.dv_max, args.dv_step, "speed")
     wavelength, spacing = _wavelength_spacing(args)
     base = geometry.ScenarioParams(
         d_x=args.dx, d_y=args.dy, delta_v=0.0, delta_a=spacing, wavelength=wavelength,
@@ -147,15 +129,9 @@ def _cmd_speed_sweep(args) -> int:
         paths = ("exact", "affine")
     else:
         paths = tuple(p.strip() for p in args.paths.split(",") if p.strip())
-    for p in paths:
-        if p not in ("exact", "affine"):
-            raise argparse.ArgumentTypeError(f"unknown evaluation path {p!r}")
-    if not paths:
-        raise argparse.ArgumentTypeError("no evaluation paths given")
-    d_y_values = tuple(args.dy_set) if args.dy_set else None
     result = experiments.speed_sweep(
         args.mode, slopes, dv, base, model=model, patterns=patterns,
-        paths=paths, d_y_values=d_y_values, t0=args.t0)
+        paths=paths, d_y_values=args.dy_set, t0=args.t0)
     result.to_csv(args.out)
     print(f"wrote {args.out} ({len(result.values)} rows)")
     for label in slopes:
@@ -214,17 +190,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "analog phase-slope combining.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_csv=None):
+    def add_common(p, default_csv=None, interval=True):
         p.add_argument("--packets", "--K", type=_int_at_least(2, "packet count"), default=10,
                        help="packets per burst, at least 2 (default 10)")
-        p.add_argument("--interval", "--T", type=_positive_float, default=0.1,
-                       help="packet interval in seconds (default 0.1)")
+        if interval:
+            p.add_argument("--interval", "--T", type=_positive_float, default=0.1,
+                           help="packet interval in seconds (default 0.1)")
         if default_csv:
             p.add_argument("--out", default=_default_out(default_csv),
                            help=f"output CSV path (default ${ENV_OUT_DIR} or cwd)")
 
     p = sub.add_parser("loss-curve", help="loss and envelope bounds over x")
-    add_common(p, "loss_curve.csv")
+    add_common(p, "loss_curve.csv", interval=False)
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=0.0)
     p.add_argument("--step", type=_positive_float, default=1e-3,
@@ -254,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", type=float, default=None)
     p.add_argument("--dx", type=float, default=30.0)
     p.add_argument("--dy", type=float, default=-4.0)
-    p.add_argument("--dy-set", type=float, nargs="*", default=None,
+    p.add_argument("--dy-set", type=float, nargs="+", default=None,
                    help="take the worst case over these lateral offsets [m]")
     p.add_argument("--dv-min", type=float, default=-60.0)
     p.add_argument("--dv-max", type=float, default=60.0)
@@ -296,12 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    problem = _empty_grid(args)
-    if problem:
-        parser.error(problem)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, InvalidRequest) as exc:
         parser.error(str(exc))
     except (PhasecombError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

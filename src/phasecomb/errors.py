@@ -5,6 +5,10 @@ class PhasecombError(Exception):
     """Base class for all library-specific failures."""
 
 
+class InvalidRequest(PhasecombError, ValueError):
+    """Request of the wrong shape: an empty grid, no or unknown paths, no slopes."""
+
+
 class DegenerateGeometry(PhasecombError):
     """Scenario geometry collapses (transmitter on the array, vanishing radical)."""
 

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import affine, antenna, geometry, pathloss, snr
-from .errors import PhasecombError
+from .errors import InvalidRequest, PhasecombError
 
-TWO_PI = 2.0 * math.pi
 _BLOCK_CELLS = 1 << 18  # array elements a speed sweep evaluates at once
 
 
@@ -57,9 +56,11 @@ class SweepResult:
 def loss_curve(n_packets: int, c1: float = 1.0, c2: float = 0.0,
                x_step: float = 1e-3) -> SweepResult:
     """Loss and its weight-independent envelope over x in (0, pi)."""
+    if not 0.0 < x_step < math.inf:
+        raise ValueError(f"x grid step {x_step!r} is not a positive finite number")
     x = np.arange(x_step, math.pi, x_step)
     if x.size == 0:
-        raise ValueError("empty x grid")
+        raise InvalidRequest(f"empty x grid: step {x_step:g} is not below pi")
     values = snr.loss(x, c1, c2, n_packets)
     lower, upper = snr.loss_bounds(x, n_packets)
     return SweepResult(
@@ -69,6 +70,16 @@ def loss_curve(n_packets: int, c1: float = 1.0, c2: float = 0.0,
         series={"loss": values, "lower_bound": lower, "upper_bound": upper},
         metadata={"n_packets": n_packets, "c1": c1, "c2": c2},
     )
+
+
+def _span(lo: float, hi: float, step: float, what: str) -> np.ndarray:
+    """np.arange(lo, hi, step) closed at hi: its values up to hi + 1e-9 * step."""
+    if not (np.all(np.isfinite([lo, hi, step])) and step > 0.0):
+        raise ValueError(f"{what} grid bounds must be finite and its step positive")
+    if lo > hi:
+        raise InvalidRequest(f"empty {what} grid: {lo:g} exceeds {hi:g}")
+    grid = np.arange(lo, hi + step, step)
+    return grid[grid <= hi + 1e-9 * step]
 
 
 def a_omega_range(d_x_values, *, delta_a: float, wavelength: float,
@@ -83,11 +94,10 @@ def a_omega_range(d_x_values, *, delta_a: float, wavelength: float,
     """
     d_x_values = np.asarray(d_x_values, dtype=float)
     d_y = np.asarray(d_y_values, dtype=float)
-    speeds = geometry.kmh_to_mps(
-        np.arange(-dv_max_kmh, dv_max_kmh + 0.5 * dv_step_kmh, dv_step_kmh))
-    for grid, what in ((d_x_values, "distance"), (speeds, "speed"), (d_y, "offset")):
+    speeds = geometry.kmh_to_mps(_span(-dv_max_kmh, dv_max_kmh, dv_step_kmh, "speed"))
+    for grid, what in ((d_x_values, "distance"), (d_y, "offset")):
         if grid.size == 0:
-            raise ValueError(f"empty {what} grid")
+            raise InvalidRequest(f"empty {what} grid")
     if not (np.all(np.isfinite(d_x_values)) and np.all(np.isfinite(d_y))):
         raise ValueError("scenario parameters must be finite")
     # one scenario checks the fields every grid point shares
@@ -144,23 +154,26 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         raise ValueError(f"mode {mode!r} needs a pathloss model")
     if uses_resp and patterns is None:
         raise ValueError(f"mode {mode!r} needs a pair of antenna patterns")
-    if not set(paths) <= {"exact", "affine"}:
-        raise ValueError(f"unknown evaluation paths in {paths!r}")
+    for path in paths:
+        if path not in ("exact", "affine"):
+            raise InvalidRequest(f"unknown evaluation path {path!r}")
     if not (paths and slopes):
-        raise ValueError("no evaluation paths" if not paths else "no slopes")
+        raise InvalidRequest("no evaluation paths" if not paths else "no slopes")
     dv_kmh_values = np.asarray(dv_kmh_values, dtype=float)
     offsets = (base.d_y,) if d_y_values is None else tuple(d_y_values)
     if dv_kmh_values.size == 0:
-        raise ValueError("empty speed grid")
+        raise InvalidRequest("empty speed grid")
     if dv_kmh_values.ndim != 1:
         raise ValueError("speed grid must be one-dimensional")
     if not offsets:
-        raise ValueError("empty offset grid")
+        raise InvalidRequest("empty offset grid")
     phi_min = antenna.worst_case_aoa(*patterns) if uses_resp else None
     speeds = geometry.kmh_to_mps(dv_kmh_values)
     dy = np.array([float(v) for v in offsets])
     built = tuple(dict.fromkeys((*paths, "exact")))
     slope_grid = np.array([float(v) for v in slopes.values()])[:, None, None]
+    if not np.all(np.isfinite(slope_grid)):
+        raise ValueError("slopes must be finite")
     # as many speed rows per grid as keep its (packet, slope, row, offset)
     # arrays within _BLOCK_CELLS; each grid is sampled once for every slope
     rows = max(1, _BLOCK_CELLS // (base.n_packets * slope_grid.size * dy.size))

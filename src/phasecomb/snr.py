@@ -315,6 +315,10 @@ def _terms(scen, mode, paths, model, patterns, phi_min, fit, t0):
     """{path: (gain, norm, cross)} for each path in paths from one sampling
     of the mode's factors.  The affine path fits each factor; with two
     drifting weight factors (combined) it samples the composed fits."""
+    if fit not in ("taylor", "least_squares"):
+        raise ValueError(f"unknown fit method {fit!r}")
+    if t0 is not None and not math.isfinite(t0):
+        raise ValueError("linearization instant t0 must be finite")
     has_omega, has_pl, has_resp = _FACTORS[mode]
     n = scen.n_packets
     if has_resp:
@@ -341,11 +345,9 @@ def _terms(scen, mode, paths, model, patterns, phi_min, fit, t0):
         om = affine.taylor_omega(scen, t0) if has_omega else None
         if has_pl and fit == "taylor":
             pg = affine.taylor_pathgain(model, scen, t0)
-        elif has_pl and fit == "least_squares":
+        elif has_pl:
             pg = affine.least_squares_fit(tk, pl)
             affine.require_positive(pg, tk)
-        elif has_pl:
-            raise ValueError(f"unknown fit method {fit!r}")
         if has_resp:
             product = affine.fit_antenna_gain_product(resp)
             dphase = affine.fit_antenna_phase_diff(resp)
@@ -380,6 +382,8 @@ def _worst(scen, terms, slope):
 
 
 def _sum_snr(slope, scen, mode, use_exact, model=None, patterns=None, fit="taylor", t0=None):
+    if not math.isfinite(slope):
+        raise ValueError(f"slope {slope!r} is not finite")
     path = "exact" if use_exact else "affine"
     phi_min = None if patterns is None else antenna.worst_case_aoa(*patterns)
     return float(_worst(scen, _terms(scen, mode, (path,), model, patterns, phi_min, fit, t0)[path],

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import affine, geometry, pathloss as pl, snr
+from . import affine, experiments, geometry, pathloss as pl, snr
 from .errors import PositivityViolation, ValidityViolation
 
 TWO_PI = 2.0 * math.pi
@@ -258,8 +258,7 @@ def _check_interval_bound(rng: np.random.Generator) -> CheckResult:
 def _check_floor_symmetry(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for n in (4, 5, 10, 12):
-        q = np.arange(1, n)
-        floors = 1.0 / ((n - 1) * np.sin(q * math.pi / n))
+        floors = experiments.pl_slope_losses(n).series["floor_universal_db"]
         worst = max(worst, float(np.max(np.abs(floors - floors[::-1]))))
     return CheckResult("slope_floor_symmetry", worst < 1e-10,
                        f"q vs n-q asymmetry {worst:.3e}")

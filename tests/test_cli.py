@@ -100,6 +100,24 @@ def test_speed_sweep_omega(tmp_path, capsys):
     assert sum(not l.startswith("#") for l in lines) == 4  # header + 3 speeds
 
 
+def first_column(path):
+    rows = [l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+    return [float(row.split(",")[0]) for row in rows[1:]]  # rows[0] is the header
+
+
+def test_sweep_grids_stop_at_their_maximum(tmp_path, capsys):
+    # a step that does not divide the range ends at or below the maximum
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["speed-sweep", "--dv-step", "11", "--slopes", "1", "--out", str(out)]) == 0
+    speeds = first_column(out)
+    assert speeds[0] == -60.0 and speeds[-1] == 50.0 and len(speeds) == 11
+    out = tmp_path / "range.csv"
+    assert run_cli(["a-omega-range", "--dx-min", "1", "--dx-max", "10", "--dx-step", "3.5",
+                    "--out", str(out)]) == 0
+    assert first_column(out) == [1.0, 4.5, 8.0]
+    capsys.readouterr()
+
+
 def test_speed_sweep_paths_both_alias(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run_cli(["speed-sweep", "--dv-min", "0", "--dv-max", "0",
@@ -120,7 +138,7 @@ def test_speed_sweep_paths_both_alias(tmp_path, capsys):
     (["a-omega-range", "--dv-step", "-1"], "positive"),
     (["a-omega-range", "--dx-step", "-1"], "positive"),
     (["design-rule", "--T", "0"], "positive"),
-    (["loss-curve", "--interval", "nan"], "positive"),
+    (["pl-losses", "--interval", "nan"], "positive"),
     (["loss-curve", "--packets", "1"], "at least 2"),
     (["a-omega-range", "--K", "0"], "at least 2"),
     (["speed-sweep", "--packets", "-3"], "at least 2"),
@@ -138,12 +156,16 @@ def test_speed_sweep_paths_both_alias(tmp_path, capsys):
     (["speed-sweep", "--paths", "bogus"], "unknown evaluation path 'bogus'"),
     (["speed-sweep", "--paths", ","], "no evaluation paths"),
     (["speed-sweep", "--paths", " , "], "no evaluation paths"),
+    (["speed-sweep", "--slopes", ","], "no slopes"),
+    (["speed-sweep", "--dy-set"], "expected at least one argument"),
+    (["loss-curve", "--T", "0.1"], "unrecognized arguments"),
 ], ids=["step", "dv-step", "a-omega-dv-step", "dx-step", "T", "interval",
         "loss-curve-packets", "a-omega-K", "speed-sweep-packets", "pl-losses-K",
         "design-rule-K", "speed-sweep-seed", "speed-sweep-empty-dv",
         "a-omega-empty-dx", "a-omega-empty-dv", "validate-seed",
         "loss-curve-empty-x", "loss-curve-step-pi", "slopes-zero", "slopes-junk",
-        "paths-bogus", "paths-comma", "paths-spaced-comma"])
+        "paths-bogus", "paths-comma", "paths-spaced-comma", "slopes-comma",
+        "dy-set-empty", "loss-curve-T"])
 def test_nonpositive_steps_exit_two_with_usage(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
     no_out = argv[0] in ("design-rule", "validate")
@@ -181,6 +203,7 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     for argv in (["loss-curve", "--c2", "nan"], ["loss-curve", "--c2", "inf"],
                  ["loss-curve", "--c1", "inf"],
                  ["speed-sweep", "--paths", "affine", "--t0", "nan"],
+                 ["speed-sweep", "--paths", "exact", "--t0", "nan"],
                  ["speed-sweep", "--mode", "pl", "--paths", "exact",
                   "--pathloss-config", str(nan_cfg)]):
         assert run_cli(argv + ["--out", out]) == 1, argv

@@ -380,3 +380,28 @@ def test_sweep_memory_stays_flat_as_the_speed_grid_grows():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# request checks of the single calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("use_exact", [True, False], ids=["exact", "affine"])
+def test_single_calls_check_fit_t0_and_slope_on_both_paths(use_exact):
+    # the exact path reads neither fit nor t0, yet a bad one is still an error
+    scen = scen_at()
+    unit = TWO_PI / (scen.n_packets * scen.t_interval)
+    with pytest.raises(ValueError, match="unknown fit method 'bogus'"):
+        sum_snr_pl(unit, scen, MODEL, use_exact=use_exact, fit="bogus")
+    for t0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            sum_snr_omega(unit, scen, use_exact=use_exact, t0=t0)
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            sum_snr_pl(unit, scen, MODEL, use_exact=use_exact, t0=t0)
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            sum_snr_combined(unit, scen, MODEL, *PATTERNS, use_exact=use_exact, t0=t0)
+    # a non-finite slope is named, never a NaN result or a conversion error
+    for slope in (math.nan, math.inf, -math.inf):
+        for mode in MODES:
+            with pytest.raises(ValueError, match="slope .* is not finite"):
+                public_call(mode, slope, scen, use_exact)

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from phasecomb import (DegenerateGeometry, PathlossModel, ScenarioParams, SweepResult,
-                       a_omega_range, builtin_pattern, carrier_wavelength,
+from phasecomb import (DegenerateGeometry, InvalidRequest, PathlossModel, ScenarioParams,
+                       SweepResult, a_omega_range, builtin_pattern, carrier_wavelength,
                        kmh_to_mps, loss_curve, pl_slope_losses, speed_sweep,
                        taylor_omega, threshold_distance)
+from phasecomb.experiments import _span
 
 LAM = carrier_wavelength(5.9e9)
 BASE_SLOPE = 2.0 * math.pi / (10 * 0.1)
@@ -40,9 +41,15 @@ def test_loss_curve_structure():
 def test_loss_curve_rejects_an_empty_x_grid():
     # a step of pi or more leaves no point in (0, pi)
     for step in (math.pi, 4.0):
-        with pytest.raises(ValueError, match="empty x grid"):
+        with pytest.raises(InvalidRequest, match="empty x grid"):
             loss_curve(5, x_step=step)
     assert loss_curve(5, x_step=3.0).values.tolist() == [3.0]
+
+
+def test_loss_curve_names_a_bad_step():
+    for step in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="x grid step"):
+            loss_curve(5, x_step=step)
 
 
 def test_loss_curve_constant_weights_sit_on_lower_bound():
@@ -184,6 +191,32 @@ def test_a_omega_range_rejects_bad_input():
                 dict(d_x_values=[10.0], d_y_values=())):
         with pytest.raises(ValueError):
             a_omega_range(**{**kw, **bad})
+    # a negative top speed empties the speed grid, however small
+    for bad in (dict(d_x_values=[]), dict(d_x_values=[10.0], d_y_values=()),
+                dict(d_x_values=[10.0], dv_max_kmh=-5.0),
+                dict(d_x_values=[10.0], dv_max_kmh=-0.1)):
+        with pytest.raises(InvalidRequest, match="empty"):
+            a_omega_range(**{**kw, **bad})
+    for step in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="speed grid bounds must be finite"):
+            a_omega_range([10.0], **{**kw, "dv_step_kmh": step})
+
+
+def test_span_is_aranges_grid_closed_at_its_maximum():
+    # the values are np.arange's, bit for bit, wherever the step divides the range
+    for lo, hi, step in ((-60.0, 60.0, 1.0), (1.0, 100.0, 1.0), (0.0, 0.3, 0.1),
+                         (-60.0, 60.0, 7.5), (0.0, 100.0, 5.0), (2.5, 2.5, 1.0)):
+        want = np.arange(lo, hi + 0.5 * step, step)
+        assert np.array_equal(_span(lo, hi, step, "test"), want), (lo, hi, step)
+    # a step that does not divide it stops at or below the maximum
+    assert _span(-60.0, 60.0, 11.0, "speed")[-1] == 50.0
+    assert _span(1.0, 10.0, 3.5, "distance").tolist() == [1.0, 4.5, 8.0]
+    with pytest.raises(InvalidRequest, match="empty distance grid: 50 exceeds 10"):
+        _span(50.0, 10.0, 1.0, "distance")
+    for lo, hi, step in ((0.0, 1.0, 0.0), (0.0, 1.0, -1.0), (0.0, 1.0, math.nan),
+                         (math.nan, 1.0, 1.0), (0.0, math.inf, 1.0)):
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
+            _span(lo, hi, step, "test")
 
 
 def synthetic_range_sweep(values, absmax):
@@ -211,22 +244,34 @@ def test_speed_sweep_rejects_bad_requests():
         speed_sweep("pl", {"q1": BASE_SLOPE}, [0.0], base_scen())
     with pytest.raises(ValueError):
         speed_sweep("phi", {"q1": BASE_SLOPE}, [0.0], base_scen())
-    with pytest.raises(ValueError):
-        speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=("bogus",))
-    with pytest.raises(ValueError, match="empty speed grid"):
+    with pytest.raises(InvalidRequest, match="unknown evaluation path 'bogus'"):
+        speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(),
+                    paths=("exact", "bogus", "junk"))
+    with pytest.raises(InvalidRequest, match="empty speed grid"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [], base_scen())
     with pytest.raises(ValueError, match="one-dimensional"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [[0.0, 10.0], [20.0, 30.0]], base_scen())
-    with pytest.raises(ValueError, match="empty offset grid"):
+    with pytest.raises(InvalidRequest, match="empty offset grid"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), d_y_values=())
-    with pytest.raises(ValueError, match="no evaluation paths"):
+    with pytest.raises(InvalidRequest, match="no evaluation paths"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=())
-    with pytest.raises(ValueError, match="no slopes"):
+    with pytest.raises(InvalidRequest, match="no slopes"):
         speed_sweep("omega", {}, [0.0], base_scen())
     patterns = (builtin_pattern("patch_front"), builtin_pattern("patch_rear"))
-    with pytest.raises(ValueError, match="no evaluation paths"):
+    with pytest.raises(InvalidRequest, match="no evaluation paths"):
         speed_sweep("combined", {"q1": BASE_SLOPE}, [0.0], base_scen(),
                     model=PathlossModel(), patterns=patterns, paths=())
+    # a non-finite slope is an error, never an all-NaN series or a warning
+    for bad in (math.nan, math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="slopes must be finite"):
+                speed_sweep("omega", {"q1": BASE_SLOPE, "bad": bad}, [0.0], base_scen())
+    # a non-finite linearization instant fails on either path
+    for paths in (("exact",), ("affine",)):
+        with pytest.raises(ValueError, match="t0 must be finite"):
+            speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=paths,
+                        t0=math.nan)
 
 
 def test_speed_sweep_static_channel_is_lossless():

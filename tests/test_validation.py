@@ -2,7 +2,7 @@
 
 import pytest
 
-from phasecomb import run_validation
+from phasecomb import experiments, run_validation
 
 
 @pytest.mark.parametrize("seed", [0, 7, 12345])
@@ -18,3 +18,17 @@ def test_battery_passes_for_any_seed(seed):
 def test_battery_reports_details():
     for res in run_validation(seed=42):
         assert res.detail
+
+
+def test_floor_symmetry_reads_the_package_floors(monkeypatch):
+    # the check must fail when the package's universal floor is not symmetric in q
+    real = experiments.pl_slope_losses
+
+    def lopsided(n_packets, **kwargs):
+        result = real(n_packets, **kwargs)
+        result.series["floor_universal_db"][0] += 1e-6
+        return result
+
+    monkeypatch.setattr(experiments, "pl_slope_losses", lopsided)
+    check = next(r for r in run_validation(seed=42) if r.name == "slope_floor_symmetry")
+    assert not check.passed

@@ -14,7 +14,11 @@ raised.  The calls are
   close approaches past the pathloss reference distance, weights the fits
   drive negative);
 * ``speed_sweep`` for the 4 modes x several d_x x 3 offset orders x 3 path
-  sets x 2 pattern pairs: every series value, or the error.
+  sets x 2 pattern pairs: every series value, or the error;
+* malformed requests to every driver and ``sum_snr_*`` call: empty grids,
+  no or unknown paths, no slopes, an unknown fit on both paths,
+  non-finite ``t0`` and slopes, zero and NaN steps.  Each records the class
+  name of whatever it raises (any exception), or what it returns.
 
 ``compare`` prints every key whose value differs or that only one dump
 holds, and exits 1 if there is any; it compares bit for bit.
@@ -85,6 +89,67 @@ def _single_calls(pc, model, pairs):
                         pc, pc.sum_snr_combined, slope, scen, model, *pair, use_exact=exact)
 
 
+def _outcome(fn, *args, **kwargs) -> str:
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # any class: the parent of a change may raise another one
+        return type(exc).__name__
+    if isinstance(result, float):
+        return f"ok {result.hex()}"
+    columns = (result.values, *result.series.values())
+    return "ok " + " | ".join(" ".join(float(v).hex() for v in col) for col in columns)
+
+
+def _requests(pc, model, pairs):
+    lam = pc.carrier_wavelength(5.9e9)
+    pair = pairs["patch_front+patch_rear"]
+    for step in (0.0, -1e-3, math.nan, math.inf, math.pi, 4.0):
+        yield f"request\tloss_curve\tx_step={step!r}", _outcome(pc.loss_curve, 5, x_step=step)
+    ranges = {"d_x=[]": dict(d_x_values=[]), "d_y=()": dict(d_y_values=()),
+              "dv_max=-0.1": dict(dv_max_kmh=-0.1), "dv_max=-5": dict(dv_max_kmh=-5.0),
+              "dv_max=0": dict(dv_max_kmh=0.0), "dv_step=0": dict(dv_step_kmh=0.0),
+              "dv_step=nan": dict(dv_step_kmh=math.nan), "dv_step=11": dict(dv_step_kmh=11.0, d_y_values=(4.0,))}
+    for label, kwargs in ranges.items():
+        kwargs = {"d_x_values": [10.0, 30.0], "dv_step_kmh": 10.0, **kwargs}
+        yield f"request\ta_omega_range\t{label}", _outcome(
+            pc.a_omega_range, delta_a=10.0 * lam, wavelength=lam, **kwargs)
+    base = pc.ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=0.0, delta_a=10.0 * lam,
+                             wavelength=lam)
+    unit = 2.0 * math.pi / (base.n_packets * base.t_interval)
+    sweeps = {"dv=[]": dict(dv_kmh_values=[]), "d_y=()": dict(d_y_values=()),
+              "paths=()": dict(paths=()), "paths=bogus": dict(paths=("bogus",)),
+              "paths=exact,bogus": dict(paths=("exact", "bogus")),
+              "slopes={}": dict(slopes={}), "slope=nan": dict(slopes={"q1": math.nan}),
+              "slope=inf": dict(slopes={"q1": math.inf}),
+              "t0=nan,exact": dict(paths=("exact",), t0=math.nan),
+              "t0=nan,affine": dict(paths=("affine",), t0=math.nan)}
+    for mode in MODES:
+        for label, kwargs in sweeps.items():
+            kwargs = {"slopes": {"q1": unit}, "dv_kmh_values": [-20.0, 0.0, 20.0], **kwargs}
+            yield f"request\tspeed_sweep\t{mode}\t{label}", _outcome(
+                pc.speed_sweep, mode, base=base, model=model, patterns=pair, **kwargs)
+    scen = pc.ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=pc.kmh_to_mps(40.0),
+                             delta_a=10.0 * lam, wavelength=lam)
+    for exact in (True, False):
+        path = "exact" if exact else "affine"
+        yield f"request\tsum_snr_pl\t{path}\tfit=bogus", _outcome(
+            pc.sum_snr_pl, unit, scen, model, use_exact=exact, fit="bogus")
+        for t0 in (math.nan, math.inf):
+            yield f"request\tsum_snr_omega\t{path}\tt0={t0!r}", _outcome(
+                pc.sum_snr_omega, unit, scen, use_exact=exact, t0=t0)
+            yield f"request\tsum_snr_pl\t{path}\tt0={t0!r}", _outcome(
+                pc.sum_snr_pl, unit, scen, model, use_exact=exact, t0=t0)
+            yield f"request\tsum_snr_combined\t{path}\tt0={t0!r}", _outcome(
+                pc.sum_snr_combined, unit, scen, model, *pair, use_exact=exact, t0=t0)
+        for slope in (math.nan, math.inf):
+            calls = {"omega": (pc.sum_snr_omega, ()), "pl": (pc.sum_snr_pl, (model,)),
+                     "phi": (pc.sum_snr_phi, pair), "combined": (pc.sum_snr_combined,
+                                                                 (model, *pair))}
+            for mode, (fn, extra) in calls.items():
+                yield f"request\tsum_snr_{mode}\t{path}\tslope={slope!r}", _outcome(
+                    fn, slope, scen, *extra, use_exact=exact)
+
+
 def _sweeps(pc, model, pairs):
     lam = pc.carrier_wavelength(5.9e9)
     dv = np.arange(-60.0, 60.5, 12.0)
@@ -126,7 +191,8 @@ def dump(out: str) -> None:
              for a, b in PATTERN_PAIRS}
     print(f"phasecomb from {pc.__file__}", file=sys.stderr)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in (*_single_calls(pc, model, pairs), *_sweeps(pc, model, pairs)):
+        for key, value in (*_single_calls(pc, model, pairs), *_sweeps(pc, model, pairs),
+                           *_requests(pc, model, pairs)):
             fh.write(f"{key}\t{value}\n")
 
 
