@@ -245,6 +245,8 @@ def test_speed_sweep_rejects_bad_requests():
     with pytest.raises(ValueError):
         speed_sweep("phi", {"q1": BASE_SLOPE}, [0.0], base_scen())
     with pytest.raises(InvalidRequest, match="unknown evaluation path 'bogus'"):
+        speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=("bogus",))
+    with pytest.raises(InvalidRequest, match="unknown evaluation path 'bogus'"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(),
                     paths=("exact", "bogus", "junk"))
     with pytest.raises(InvalidRequest, match="empty speed grid"):
