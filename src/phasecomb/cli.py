@@ -100,7 +100,7 @@ def _cmd_a_omega_range(args) -> int:
     result = experiments.a_omega_range(
         d_x, delta_a=spacing, wavelength=wavelength, n_packets=args.packets,
         t_interval=args.interval, dv_max_kmh=args.dv_max,
-        dv_step_kmh=args.dv_step, d_y_values=tuple(args.dy_set))
+        dv_step_kmh=args.dv_step, d_y_values=args.dy_set)
     for label, bound in (("pi_2", math.pi / 2),
                          ("pi_n", math.pi / args.packets)):
         result.metadata[f"threshold_{label}_m"] = experiments.threshold_distance(
@@ -119,7 +119,7 @@ def _cmd_speed_sweep(args) -> int:
     dv = experiments._span(args.dv_min, args.dv_max, args.dv_step, "speed")
     wavelength, spacing = _wavelength_spacing(args)
     base = geometry.ScenarioParams(
-        d_x=args.dx, d_y=args.dy, delta_v=0.0, delta_a=spacing, wavelength=wavelength,
+        d_x=args.dx, d_y=args.dy_set[0], delta_v=0.0, delta_a=spacing, wavelength=wavelength,
         n_packets=args.packets, t_interval=args.interval)
     _, uses_pl, uses_resp = snr._FACTORS[args.mode]
     model = _model(args) if uses_pl else None
@@ -147,7 +147,6 @@ def _cmd_speed_sweep(args) -> int:
 def _cmd_pl_losses(args) -> int:
     result = experiments.pl_slope_losses(
         args.packets, model=_model(args), d_x=args.dx, dv_kmh=args.dv, d_y=args.dy,
-        wavelength=geometry.carrier_wavelength(args.fc_ghz * 1e9),
         t_interval=args.interval)
     result.to_csv(args.out)
     print(f"wrote {args.out} ({len(result.values)} rows)")
@@ -230,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fc-ghz", type=float, default=5.9)
     p.add_argument("--spacing", type=float, default=None)
     p.add_argument("--dx", type=float, default=30.0)
-    p.add_argument("--dy", type=float, default=-4.0)
-    p.add_argument("--dy-set", type=float, nargs="+", default=None,
+    p.add_argument("--dy-set", "--dy", type=float, nargs="+", default=[-4.0],
                    help="take the worst case over these lateral offsets [m]")
     p.add_argument("--dv-min", type=float, default=-60.0)
     p.add_argument("--dv-max", type=float, default=60.0)
@@ -252,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pl-losses",
                        help="per-slope sum-SNR floors under path gain drift")
     add_common(p, "pl_losses.csv")
-    p.add_argument("--fc-ghz", type=float, default=5.9)
     p.add_argument("--dx", type=float, default=30.0)
     p.add_argument("--dy", type=float, default=0.0)
     p.add_argument("--dv", type=float, default=-60.0, help="relative speed [km/h]")

@@ -72,6 +72,19 @@ def loss_curve(n_packets: int, c1: float = 1.0, c2: float = 0.0,
     )
 
 
+def _values(values, what: str) -> np.ndarray:
+    """A caller's grid as a non-empty one-dimensional float array.  Finiteness is
+    checked per scenario, so a sweep raises what its first failing scenario raises."""
+    grid = np.asarray(values)
+    if grid.size == 0:
+        raise InvalidRequest(f"empty {what} grid")
+    if grid.ndim != 1:
+        raise ValueError(f"{what} grid must be one-dimensional")
+    if grid.dtype.kind not in "biuf":
+        raise ValueError(f"{what} grid must hold numbers")
+    return grid.astype(float, copy=False)
+
+
 def _span(lo: float, hi: float, step: float, what: str) -> np.ndarray:
     """np.arange(lo, hi, step) closed at hi: its values up to hi + 1e-9 * step."""
     if not (np.all(np.isfinite([lo, hi, step])) and step > 0.0):
@@ -92,47 +105,41 @@ def a_omega_range(d_x_values, *, delta_a: float, wavelength: float,
     is scanned over the speed grid and the lateral offsets, reporting the
     signed min/max and the absolute maximum of a * t_interval / 2.
     """
-    d_x_values = np.asarray(d_x_values, dtype=float)
-    d_y = np.asarray(d_y_values, dtype=float)
     speeds = geometry.kmh_to_mps(_span(-dv_max_kmh, dv_max_kmh, dv_step_kmh, "speed"))
-    for grid, what in ((d_x_values, "distance"), (d_y, "offset")):
-        if grid.size == 0:
-            raise InvalidRequest(f"empty {what} grid")
-    if not (np.all(np.isfinite(d_x_values)) and np.all(np.isfinite(d_y))):
-        raise ValueError("scenario parameters must be finite")
+    d_x = _values(d_x_values, "distance")
+    dy = _values(d_y_values, "offset")
     # one scenario checks the fields every grid point shares
-    scen = geometry.ScenarioParams(d_x=0.0, d_y=0.0, delta_v=0.0, delta_a=delta_a,
+    base = geometry.ScenarioParams(d_x=0.0, d_y=0.0, delta_v=0.0, delta_a=delta_a,
                                    wavelength=wavelength, n_packets=n_packets,
                                    t_interval=t_interval)
-    slope = geometry._omega_slope(d_x_values[:, None, None], d_y[None, :, None],
-                                  speeds[None, None, :], delta_a, wavelength,
-                                  0.5 * scen.burst_window)
-    half = 0.5 * slope * t_interval
+    grid = _grid(base, d_x=d_x[:, None, None], d_y=dy[:, None], delta_v=speeds)
+    half = 0.5 * affine.taylor_omega(grid).slope * t_interval
     lo = half.min(axis=(1, 2))
     hi = half.max(axis=(1, 2))
     return SweepResult(
         name="a_omega_range",
         independent="d_x_m",
-        values=d_x_values,
+        values=d_x,
         series={"half_slope_min_rad": lo, "half_slope_max_rad": hi,
                 "half_slope_absmax_rad": np.maximum(np.abs(lo), np.abs(hi))},
         metadata={"delta_a_m": delta_a, "wavelength_m": wavelength,
                   "n_packets": n_packets, "t_interval_s": t_interval,
                   "dv_max_kmh": dv_max_kmh, "dv_step_kmh": dv_step_kmh,
-                  "d_y_values_m": list(d_y_values)},
+                  "d_y_values_m": dy.tolist()},
     )
 
 
 def threshold_distance(sweep: SweepResult, bound: float) -> float:
     """Smallest d_x in an a_omega_range sweep past which the absolute half
     slope-offset stays below the bound for every larger tabulated d_x."""
+    values = _values(sweep.values, "distance")
     absmax = sweep.series["half_slope_absmax_rad"]
     exceeding = np.nonzero(absmax >= bound)[0]
     if exceeding.size == 0:
-        return float(sweep.values[0])
-    if exceeding[-1] + 1 >= len(sweep.values):
+        return float(values[0])
+    if exceeding[-1] + 1 >= values.size:
         return math.inf
-    return float(sweep.values[exceeding[-1] + 1])
+    return float(values[exceeding[-1] + 1])
 
 
 def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
@@ -159,17 +166,10 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
             raise InvalidRequest(f"unknown evaluation path {path!r}")
     if not (paths and slopes):
         raise InvalidRequest("no evaluation paths" if not paths else "no slopes")
-    dv_kmh_values = np.asarray(dv_kmh_values, dtype=float)
-    offsets = (base.d_y,) if d_y_values is None else tuple(d_y_values)
-    if dv_kmh_values.size == 0:
-        raise InvalidRequest("empty speed grid")
-    if dv_kmh_values.ndim != 1:
-        raise ValueError("speed grid must be one-dimensional")
-    if not offsets:
-        raise InvalidRequest("empty offset grid")
+    dv_kmh_values = _values(dv_kmh_values, "speed")
+    dy = _values((base.d_y,) if d_y_values is None else d_y_values, "offset")
     phi_min = antenna.worst_case_aoa(*patterns) if uses_resp else None
     speeds = geometry.kmh_to_mps(dv_kmh_values)
-    dy = np.array([float(v) for v in offsets])
     built = tuple(dict.fromkeys((*paths, "exact")))
     slope_grid = np.array([float(v) for v in slopes.values()])[:, None, None]
     if not np.all(np.isfinite(slope_grid)):
@@ -180,13 +180,13 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     blocks, max_distance = [], 0.0
     for block in np.split(speeds, range(rows, speeds.size, rows)):
         try:
-            grid = _grid(base, dy[None, :], block[:, None])
+            grid = _grid(base, d_y=dy[None, :], delta_v=block[:, None])
             terms = snr._terms(grid, mode, built, model, patterns, phi_min, "taylor", t0)
             worst = {path: snr._worst(grid, terms[path], slope_grid) for path in paths}
         except (PhasecombError, ValueError):
             # raise the first failing scenario's error, not the grid's first failing check
             for v in block:
-                scens = [_grid(base, d, v) for d in dy]
+                scens = [_grid(base, d_y=d, delta_v=v) for d in dy]
                 for path in built:
                     for scen in scens:
                         snr._terms(scen, mode, (path,), model, patterns, phi_min, "taylor", t0)
@@ -202,7 +202,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     series["reference_db"] = db["reference"]
 
     metadata: dict[str, object] = {
-        "mode": mode, "d_x_m": base.d_x, "d_y_values_m": list(offsets),
+        "mode": mode, "d_x_m": base.d_x, "d_y_values_m": dy.tolist(),
         "delta_a_m": base.delta_a, "wavelength_m": base.wavelength,
         "n_packets": base.n_packets, "t_interval_s": base.t_interval,
         "slopes_rad_per_s": {k: float(v) for k, v in slopes.items()},
@@ -218,9 +218,8 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
                        values=dv_kmh_values, series=series, metadata=metadata)
 
 
-def _grid(base: geometry.ScenarioParams, d_y, delta_v) -> geometry._ScenarioGrid:
-    return geometry._ScenarioGrid(base.d_x, d_y, delta_v, base.delta_a, base.wavelength,
-                                  base.n_packets, base.t_interval)
+def _grid(base: geometry.ScenarioParams, **arrays) -> geometry._ScenarioGrid:
+    return geometry._ScenarioGrid(**{**vars(base), **arrays})
 
 
 def _to_db(v):
@@ -229,7 +228,6 @@ def _to_db(v):
 
 def pl_slope_losses(n_packets: int, *, model: pathloss.PathlossModel | None = None,
                     d_x: float = 30.0, dv_kmh: float = -60.0, d_y: float = 0.0,
-                    wavelength: float | None = None,
                     t_interval: float = 0.1) -> SweepResult:
     """Worst-case sum-SNR floor per zero-loss slope under drifting path gain.
 
@@ -238,13 +236,13 @@ def pl_slope_losses(n_packets: int, *, model: pathloss.PathlossModel | None = No
     drift of the given geometry against the same slopes.
     """
     model = model or pathloss.PathlossModel()
-    wavelength = wavelength or geometry.carrier_wavelength(5.9e9)
     q = np.arange(1, n_packets)
     x = q * math.pi / n_packets
     universal = _to_db(1.0 - 1.0 / ((n_packets - 1) * np.sin(x)))
+    # the path gain reads no wavelength: any valid one gives the same floors
     scen = geometry.ScenarioParams(
         d_x=d_x, d_y=d_y, delta_v=geometry.kmh_to_mps(dv_kmh), delta_a=0.0,
-        wavelength=wavelength, n_packets=n_packets, t_interval=t_interval)
+        wavelength=geometry.carrier_wavelength(5.9e9), n_packets=n_packets, t_interval=t_interval)
     fitted = affine.taylor_pathgain(model, scen)
     c1, c2 = snr.affine_coefficients(fitted.slope, fitted.intercept,
                                      n_packets, t_interval)

@@ -75,17 +75,17 @@ class ScenarioParams:
 
 
 class _ScenarioGrid(ScenarioParams):
-    """Scenarios sharing a checked ScenarioParams' fields but d_y and delta_v,
-    arrays broadcast together.  Packet times run along a new first axis, so
-    per-packet arrays are (n_packets, *grid) and per-scenario ones grid-shaped."""
+    """Scenarios sharing a checked ScenarioParams' fields but d_x, d_y and
+    delta_v, arrays broadcast together.  Packet times run along a new first axis,
+    so per-packet arrays are (n_packets, *grid) and per-scenario ones grid-shaped."""
 
     def __post_init__(self) -> None:
-        if not (np.all(np.isfinite(self.d_y)) and np.all(np.isfinite(self.delta_v))):
+        if not all(np.isfinite(v).all() for v in (self.d_x, self.d_y, self.delta_v)):
             raise ValueError("scenario parameters must be finite")
 
     def packet_times(self) -> np.ndarray:
         tk = super().packet_times()
-        return tk.reshape(tk.shape + (1,) * np.broadcast(self.d_y, self.delta_v).ndim)
+        return tk.reshape(tk.shape + (1,) * np.broadcast(self.d_x, self.d_y, self.delta_v).ndim)
 
 
 def transmitter_distance(scen: ScenarioParams, t):

@@ -317,8 +317,7 @@ def _terms(scen, mode, paths, model, patterns, phi_min, fit, t0):
     drifting weight factors (combined) it samples the composed fits."""
     if fit not in ("taylor", "least_squares"):
         raise ValueError(f"unknown fit method {fit!r}")
-    if t0 is not None and not math.isfinite(t0):
-        raise ValueError("linearization instant t0 must be finite")
+    t0 = affine._default_t0(scen, t0)
     has_omega, has_pl, has_resp = _FACTORS[mode]
     n = scen.n_packets
     if has_resp:

@@ -100,6 +100,15 @@ def test_speed_sweep_omega(tmp_path, capsys):
     assert sum(not l.startswith("#") for l in lines) == 4  # header + 3 speeds
 
 
+def test_speed_sweep_dy_is_an_alias_of_dy_set(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["speed-sweep", "--dv-min", "-20", "--dv-max", "20", "--dv-step", "20"]
+    assert run_cli(args + ["--dy", "3", "--out", str(a)]) == 0
+    assert run_cli(args + ["--dy-set", "3", "--out", str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+
+
 def first_column(path):
     rows = [l for l in path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
     return [float(row.split(",")[0]) for row in rows[1:]]  # rows[0] is the header
@@ -159,13 +168,14 @@ def test_speed_sweep_paths_both_alias(tmp_path, capsys):
     (["speed-sweep", "--slopes", ","], "no slopes"),
     (["speed-sweep", "--dy-set"], "expected at least one argument"),
     (["loss-curve", "--T", "0.1"], "unrecognized arguments"),
+    (["pl-losses", "--fc-ghz", "5.9"], "unrecognized arguments"),
 ], ids=["step", "dv-step", "a-omega-dv-step", "dx-step", "T", "interval",
         "loss-curve-packets", "a-omega-K", "speed-sweep-packets", "pl-losses-K",
         "design-rule-K", "speed-sweep-seed", "speed-sweep-empty-dv",
         "a-omega-empty-dx", "a-omega-empty-dv", "validate-seed",
         "loss-curve-empty-x", "loss-curve-step-pi", "slopes-zero", "slopes-junk",
         "paths-bogus", "paths-comma", "paths-spaced-comma", "slopes-comma",
-        "dy-set-empty", "loss-curve-T"])
+        "dy-set-empty", "loss-curve-T", "pl-losses-fc-ghz"])
 def test_nonpositive_steps_exit_two_with_usage(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
     no_out = argv[0] in ("design-rule", "validate")

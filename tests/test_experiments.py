@@ -200,6 +200,9 @@ def test_a_omega_range_rejects_bad_input():
     for step in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="speed grid bounds must be finite"):
             a_omega_range([10.0], **{**kw, "dv_step_kmh": step})
+    for d_x in ([[10.0, 20.0], [30.0, 40.0]], 10.0):
+        with pytest.raises(ValueError, match="distance grid must be one-dimensional"):
+            a_omega_range(d_x, **kw)
 
 
 def test_span_is_aranges_grid_closed_at_its_maximum():
@@ -231,6 +234,8 @@ def test_threshold_distance_cases():
     assert threshold_distance(sweep, 10.0) == 10.0    # never exceeded
     assert threshold_distance(sweep, 0.1) == math.inf  # exceeded at the end
     assert threshold_distance(sweep, 0.7) == 40.0
+    with pytest.raises(InvalidRequest, match="empty distance grid"):
+        threshold_distance(synthetic_range_sweep([], []), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +260,11 @@ def test_speed_sweep_rejects_bad_requests():
         speed_sweep("omega", {"q1": BASE_SLOPE}, [[0.0, 10.0], [20.0, 30.0]], base_scen())
     with pytest.raises(InvalidRequest, match="empty offset grid"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), d_y_values=())
+    for offsets in ([[1.0, 2.0]], 4.0):
+        with pytest.raises(ValueError, match="offset grid must be one-dimensional"):
+            speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), d_y_values=offsets)
+    with pytest.raises(ValueError, match="offset grid must hold numbers"):
+        speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), d_y_values=["a"])
     with pytest.raises(InvalidRequest, match="no evaluation paths"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=())
     with pytest.raises(InvalidRequest, match="no slopes"):
@@ -274,6 +284,17 @@ def test_speed_sweep_rejects_bad_requests():
         with pytest.raises(ValueError, match="t0 must be finite"):
             speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=paths,
                         t0=math.nan)
+
+
+def test_offsets_reach_the_csv_metadata_as_plain_floats(tmp_path):
+    offsets = np.array([-4.0, 4.0])
+    for res in (speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(),
+                            d_y_values=offsets),
+                a_omega_range([30.0], delta_a=10.0 * LAM, wavelength=LAM,
+                              dv_step_kmh=30.0, d_y_values=offsets)):
+        out = tmp_path / f"{res.name}.csv"
+        res.to_csv(out)
+        assert "# d_y_values_m: [-4.0, 4.0]\n" in out.read_text(encoding="utf-8")
 
 
 def test_speed_sweep_static_channel_is_lossless():

@@ -15,10 +15,12 @@ raised.  The calls are
   drive negative);
 * ``speed_sweep`` for the 4 modes x several d_x x 3 offset orders x 3 path
   sets x 2 pattern pairs: every series value, or the error;
-* malformed requests to every driver and ``sum_snr_*`` call: empty grids,
-  no or unknown paths, no slopes, an unknown fit on both paths,
-  non-finite ``t0`` and slopes, zero and NaN steps.  Each records the class
-  name of whatever it raises (any exception), or what it returns.
+* malformed requests to every driver and ``sum_snr_*`` call: empty grids
+  (also an empty ``threshold_distance`` sweep), nested, scalar and
+  non-numeric distance and offset grids, no or unknown paths, no slopes,
+  an unknown fit on both paths, non-finite ``t0`` and slopes, zero and NaN
+  steps.  Each records the class name of whatever it raises (any
+  exception), or what it returns.
 
 ``compare`` prints every key whose value differs or that only one dump
 holds, and exits 1 if there is any; it compares bit for bit.
@@ -100,6 +102,12 @@ def _outcome(fn, *args, **kwargs) -> str:
     return "ok " + " | ".join(" ".join(float(v).hex() for v in col) for col in columns)
 
 
+def _malformed(label: str, key: str) -> dict[str, dict]:
+    """Nested, scalar and non-numeric grids passed as the keyword key."""
+    grids = {"[[-4,4]]": [[-4.0, 4.0]], "4": 4.0, "['a']": ["a"]}
+    return {f"{label}={name}": {key: grid} for name, grid in grids.items()}
+
+
 def _requests(pc, model, pairs):
     lam = pc.carrier_wavelength(5.9e9)
     pair = pairs["patch_front+patch_rear"]
@@ -108,11 +116,15 @@ def _requests(pc, model, pairs):
     ranges = {"d_x=[]": dict(d_x_values=[]), "d_y=()": dict(d_y_values=()),
               "dv_max=-0.1": dict(dv_max_kmh=-0.1), "dv_max=-5": dict(dv_max_kmh=-5.0),
               "dv_max=0": dict(dv_max_kmh=0.0), "dv_step=0": dict(dv_step_kmh=0.0),
-              "dv_step=nan": dict(dv_step_kmh=math.nan), "dv_step=11": dict(dv_step_kmh=11.0, d_y_values=(4.0,))}
+              "dv_step=nan": dict(dv_step_kmh=math.nan), "dv_step=11": dict(dv_step_kmh=11.0, d_y_values=(4.0,)),
+              **_malformed("d_x", "d_x_values"), **_malformed("d_y", "d_y_values")}
     for label, kwargs in ranges.items():
         kwargs = {"d_x_values": [10.0, 30.0], "dv_step_kmh": 10.0, **kwargs}
         yield f"request\ta_omega_range\t{label}", _outcome(
             pc.a_omega_range, delta_a=10.0 * lam, wavelength=lam, **kwargs)
+    empty = pc.SweepResult(name="a_omega_range", independent="d_x_m", values=np.array([]),
+                           series={"half_slope_absmax_rad": np.array([])})
+    yield "request\tthreshold_distance\tempty", _outcome(pc.threshold_distance, empty, 1.0)
     base = pc.ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=0.0, delta_a=10.0 * lam,
                              wavelength=lam)
     unit = 2.0 * math.pi / (base.n_packets * base.t_interval)
@@ -122,7 +134,8 @@ def _requests(pc, model, pairs):
               "slopes={}": dict(slopes={}), "slope=nan": dict(slopes={"q1": math.nan}),
               "slope=inf": dict(slopes={"q1": math.inf}),
               "t0=nan,exact": dict(paths=("exact",), t0=math.nan),
-              "t0=nan,affine": dict(paths=("affine",), t0=math.nan)}
+              "t0=nan,affine": dict(paths=("affine",), t0=math.nan),
+              **_malformed("d_y", "d_y_values")}
     for mode in MODES:
         for label, kwargs in sweeps.items():
             kwargs = {"slopes": {"q1": unit}, "dv_kmh_values": [-20.0, 0.0, 20.0], **kwargs}
