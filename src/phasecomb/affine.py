@@ -42,8 +42,7 @@ def _default_t0(scen: geometry.ScenarioParams, t0: float | None) -> float:
 def taylor_omega(scen: geometry.ScenarioParams, t0: float | None = None) -> AffineModel:
     """First-order model of the branch phase difference around t0."""
     t0 = _default_t0(scen, t0)
-    slope = geometry._omega_slope(scen.d_x, scen.d_y, scen.delta_v, scen.delta_a,
-                                  scen.wavelength, t0)
+    slope = geometry._omega_slope(scen, t0)
     intercept = geometry.omega_exact(scen, t0) - slope * t0
     return AffineModel(slope=slope, intercept=intercept)
 

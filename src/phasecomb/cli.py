@@ -274,7 +274,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (argparse.ArgumentTypeError, InvalidRequest) as exc:
         parser.error(str(exc))
-    except (PhasecombError, OSError, ValueError) as exc:
+    except (PhasecombError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

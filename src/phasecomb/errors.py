@@ -49,5 +49,5 @@ class NonPositiveC1(PhasecombError):
     """Mean per-packet weight c1 must be strictly positive."""
 
 
-class TooFewPackets(PhasecombError):
+class TooFewPackets(PhasecombError, ValueError):
     """A burst quantity asked for fewer than two packets."""

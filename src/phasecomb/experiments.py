@@ -11,7 +11,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,11 +108,9 @@ def a_omega_range(d_x_values, *, delta_a: float, wavelength: float,
     speeds = geometry.kmh_to_mps(_span(-dv_max_kmh, dv_max_kmh, dv_step_kmh, "speed"))
     d_x = _values(d_x_values, "distance")
     dy = _values(d_y_values, "offset")
-    # one scenario checks the fields every grid point shares
-    base = geometry.ScenarioParams(d_x=0.0, d_y=0.0, delta_v=0.0, delta_a=delta_a,
-                                   wavelength=wavelength, n_packets=n_packets,
-                                   t_interval=t_interval)
-    grid = _grid(base, d_x=d_x[:, None, None], d_y=dy[:, None], delta_v=speeds)
+    grid = geometry.ScenarioParams(d_x=d_x[:, None, None], d_y=dy[:, None], delta_v=speeds,
+                                   delta_a=delta_a, wavelength=wavelength,
+                                   n_packets=n_packets, t_interval=t_interval)
     half = 0.5 * affine.taylor_omega(grid).slope * t_interval
     lo = half.min(axis=(1, 2))
     hi = half.max(axis=(1, 2))
@@ -156,6 +154,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     """
     if mode not in snr._FACTORS:
         raise ValueError(f"unknown sweep mode {mode!r}")
+    base._require_single()
     _, uses_pl, uses_resp = snr._FACTORS[mode]
     if uses_pl and model is None:
         raise ValueError(f"mode {mode!r} needs a pathloss model")
@@ -180,13 +179,13 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     blocks, max_distance = [], 0.0
     for block in np.split(speeds, range(rows, speeds.size, rows)):
         try:
-            grid = _grid(base, d_y=dy[None, :], delta_v=block[:, None])
+            grid = replace(base, d_y=dy[None, :], delta_v=block[:, None])
             terms = snr._terms(grid, mode, built, model, patterns, phi_min, "taylor", t0)
             worst = {path: snr._worst(grid, terms[path], slope_grid) for path in paths}
         except (PhasecombError, ValueError):
             # raise the first failing scenario's error, not the grid's first failing check
             for v in block:
-                scens = [_grid(base, d_y=d, delta_v=v) for d in dy]
+                scens = [replace(base, d_y=d, delta_v=v) for d in dy]
                 for path in built:
                     for scen in scens:
                         snr._terms(scen, mode, (path,), model, patterns, phi_min, "taylor", t0)
@@ -216,10 +215,6 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
             f"validity horizon {model.validity_m:.1f} m", stacklevel=2)
     return SweepResult(name=f"speed_sweep_{mode}", independent="delta_v_kmh",
                        values=dv_kmh_values, series=series, metadata=metadata)
-
-
-def _grid(base: geometry.ScenarioParams, **arrays) -> geometry._ScenarioGrid:
-    return geometry._ScenarioGrid(**{**vars(base), **arrays})
 
 
 def _to_db(v):

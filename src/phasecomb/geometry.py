@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry
+from .errors import DegenerateGeometry, InvalidRequest, TooFewPackets
 
 TWO_PI = 2.0 * math.pi
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the meter
@@ -41,25 +41,25 @@ class ScenarioParams:
     """Broadcast scenario: constant-velocity geometry plus burst timing.
 
     A burst of n_packets packets is received t_interval seconds apart;
-    packet k arrives at t = k * t_interval, k = 0 .. n_packets - 1.
+    packet k arrives at t = k * t_interval, k = 0 .. n_packets - 1.  d_x, d_y
+    and delta_v may be arrays that broadcast together, a grid of scenarios;
+    packet times then run along a new first axis, broadcasting to (n_packets, *grid).
     """
 
-    d_x: float
-    d_y: float
-    delta_v: float      # relative speed along x, m/s
+    d_x: float | np.ndarray
+    d_y: float | np.ndarray
+    delta_v: float | np.ndarray  # relative speed along x, m/s
     delta_a: float      # antenna separation, m
     wavelength: float   # carrier wavelength, m
     n_packets: int = 10
     t_interval: float = 0.1
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.d_x, self.d_y, self.delta_v, self.delta_a,
-                                       self.wavelength, self.t_interval))):
+        fields = (self.d_x, self.d_y, self.delta_v, self.delta_a, self.wavelength, self.t_interval)
+        if not all(np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
+                   for v in fields):
             raise ValueError("scenario parameters must be finite")
-        if self.n_packets < 2:
-            raise ValueError("a burst needs at least two packets")
-        if self.t_interval <= 0.0:
-            raise ValueError("packet interval must be positive")
+        _check_burst(self.n_packets, self.t_interval)
         if self.wavelength <= 0.0:
             raise ValueError("wavelength must be positive")
         if self.delta_a < 0.0:
@@ -71,21 +71,27 @@ class ScenarioParams:
         return (self.n_packets - 1) * self.t_interval
 
     def packet_times(self) -> np.ndarray:
-        return np.arange(self.n_packets) * self.t_interval
+        tk = np.arange(self.n_packets) * self.t_interval
+        ndim = self._ndim()
+        return tk.reshape(tk.shape + (1,) * ndim) if ndim else tk
+
+    def _ndim(self) -> int:  # grid axes of the broadcast fields, 0 for one scenario
+        return (0 if type(self.d_x) is type(self.d_y) is type(self.delta_v) is float
+                else np.broadcast(self.d_x, self.d_y, self.delta_v).ndim)
+
+    def _require_single(self) -> None:
+        if self._ndim():
+            raise InvalidRequest("expected one scenario, got arrays in d_x, d_y or delta_v")
 
 
-class _ScenarioGrid(ScenarioParams):
-    """Scenarios sharing a checked ScenarioParams' fields but d_x, d_y and
-    delta_v, arrays broadcast together.  Packet times run along a new first axis,
-    so per-packet arrays are (n_packets, *grid) and per-scenario ones grid-shaped."""
-
-    def __post_init__(self) -> None:
-        if not all(np.isfinite(v).all() for v in (self.d_x, self.d_y, self.delta_v)):
-            raise ValueError("scenario parameters must be finite")
-
-    def packet_times(self) -> np.ndarray:
-        tk = super().packet_times()
-        return tk.reshape(tk.shape + (1,) * np.broadcast(self.d_x, self.d_y, self.delta_v).ndim)
+def _check_burst(n_packets: int, t_interval: float = 1.0) -> None:
+    """A burst of an integer n >= 2 packets a positive, finite interval apart."""
+    if not isinstance(n_packets, (int, np.integer)):
+        raise ValueError(f"packet count {n_packets!r} is not an integer")
+    if n_packets < 2:
+        raise TooFewPackets("a burst needs at least two packets")
+    if not 0.0 < t_interval < math.inf:
+        raise ValueError(f"packet interval {t_interval!r} is not a positive finite number")
 
 
 def transmitter_distance(scen: ScenarioParams, t):
@@ -95,32 +101,25 @@ def transmitter_distance(scen: ScenarioParams, t):
     return float(d) if np.ndim(d) == 0 else d
 
 
-def _track(d_x, d_y, delta_v, delta_a, t):
-    """Along-track coordinate u and distances (d_0, d_1) to antennas 0 and 1
-    at time t, elementwise over broadcast arrays."""
-    u = d_x + delta_v * t
-    half = 0.5 * delta_a
-    d0 = np.hypot(u, d_y + half)
-    d1 = np.hypot(u, d_y - half)
-    if np.any(d0 == 0.0) or np.any(d1 == 0.0):
-        raise DegenerateGeometry("transmitter coincides with a receive antenna")
-    return u, d0, d1
-
-
-def _omega_slope(d_x, d_y, delta_v, delta_a, wavelength, t):
-    """Time derivative of the branch phase difference at time t, elementwise:
-    (2 pi / wavelength) * delta_v * u * (1/d_1 - 1/d_0)."""
-    u, d0, d1 = _track(d_x, d_y, delta_v, delta_a, t)
-    return (TWO_PI / wavelength) * delta_v * u * (1.0 / d1 - 1.0 / d0)
-
-
 def propagation_distances(scen: ScenarioParams, t):
     """Distances (d_0, d_1) from the transmitter to the two antennas at time t."""
-    _, d0, d1 = _track(scen.d_x, scen.d_y, scen.delta_v, scen.delta_a,
-                       np.asarray(t, dtype=float))
+    u = scen.d_x + scen.delta_v * np.asarray(t, dtype=float)
+    half = 0.5 * scen.delta_a
+    d0 = np.hypot(u, scen.d_y + half)
+    d1 = np.hypot(u, scen.d_y - half)
+    if np.any(d0 == 0.0) or np.any(d1 == 0.0):
+        raise DegenerateGeometry("transmitter coincides with a receive antenna")
     if np.ndim(d0) == 0:
         return float(d0), float(d1)
     return d0, d1
+
+
+def _omega_slope(scen: ScenarioParams, t):
+    """Time derivative of the branch phase difference at time t, elementwise:
+    (2 pi / wavelength) * delta_v * u * (1/d_1 - 1/d_0)."""
+    d0, d1 = propagation_distances(scen, t)
+    u = scen.d_x + scen.delta_v * t
+    return (TWO_PI / scen.wavelength) * scen.delta_v * u * (1.0 / d1 - 1.0 / d0)
 
 
 def omega_exact(scen: ScenarioParams, t):

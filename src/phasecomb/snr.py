@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import affine, antenna, geometry, pathloss
-from .errors import DomainX, NonPositiveC1, TooFewPackets
+from .errors import DomainX, NonPositiveC1
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,13 +161,12 @@ def c_ratio_squared(w: float, n_packets: int, t_interval: float) -> float:
 
 
 def _check_weights(c1: float, c2: float, n_packets: int) -> None:
-    """Admissible affine weights: 0 < c1 < inf, finite c2, n >= 2."""
+    """Admissible affine weights: 0 < c1 < inf, finite c2, an integer n >= 2."""
     if not 0.0 < c1 < math.inf:
         raise NonPositiveC1("mean per-packet weight must be positive and finite")
     if not math.isfinite(c2):
         raise ValueError("per-interval weight increment must be finite")
-    if n_packets < 2:
-        raise TooFewPackets("a burst needs n >= 2 packets")
+    geometry._check_burst(n_packets)
 
 
 def loss(x, c1, c2, n_packets: int):
@@ -197,8 +196,7 @@ def loss_bounds(x, n_packets: int):
     for any positive affine weights.  On the severe set both collapse to 1.
     x may be a float (two floats returned) or an array (two arrays).
     """
-    if n_packets < 2:
-        raise TooFewPackets("the loss envelope needs n >= 2")
+    geometry._check_burst(n_packets)
     n = n_packets
     f1v, f2v, severe = _dirichlet_values(x, n)
     lower = np.where(severe, 1.0, np.abs(f1v) / n)
@@ -212,8 +210,7 @@ def interval_loss_bound(n_packets: int) -> float:
     """Loss ceiling for constant weights when x is kept at least pi / n away
     from the severe set: max of 1 / (n sin(x)) over [pi/n, (n-1) pi/n],
     attained at the interval edges."""
-    if n_packets < 2:
-        raise TooFewPackets("the interval [pi/n, (n-1) pi/n] needs n >= 2")
+    geometry._check_burst(n_packets)
     return 1.0 / (n_packets * math.sin(math.pi / n_packets))
 
 
@@ -268,6 +265,7 @@ def min_cross_term(weights, phases):
 def optimal_slope_set(n_packets: int, t_interval: float) -> np.ndarray:
     """All slope differences whose half-angle per interval lands in the
     zero-loss set: q * 2 pi / (n_packets * t_interval), q = 1 .. n_packets - 1."""
+    geometry._check_burst(n_packets, t_interval)
     base = TWO_PI / (n_packets * t_interval)
     return np.arange(1, n_packets) * base
 
@@ -279,9 +277,8 @@ def design_rule_alpha_star(n_packets: int, t_interval: float) -> np.ndarray:
     n_packets.  These maximize the margin |x - q pi| under slope
     perturbation, i.e. stay robust when channel dynamics shift x.
     """
-    base = TWO_PI / (n_packets * t_interval)
     qs = sorted({n_packets // 2, (n_packets + 1) // 2})
-    return np.array([q * base for q in qs])
+    return optimal_slope_set(n_packets, t_interval)[[q - 1 for q in qs]]
 
 
 def check_optimality(slopes: Sequence[float], n_packets: int,
@@ -291,6 +288,7 @@ def check_optimality(slopes: Sequence[float], n_packets: int,
     Under that condition the burst cross term vanishes for constant weights
     regardless of the offset phases, for any number of branches.
     """
+    geometry._check_burst(n_packets, t_interval)
     s = np.asarray(slopes, dtype=float)
     if s.size < 2:
         raise ValueError("need at least two branch slopes")
@@ -302,10 +300,10 @@ def check_optimality(slopes: Sequence[float], n_packets: int,
 # Mode evaluators: worst-case sum-SNR with channel quantities drifting.  Each
 # mode drifts the factors _FACTORS marks (phase difference, path gain,
 # antenna responses); weights multiply the gain factors, phases add up.
-# _terms samples a scenario (or a geometry._ScenarioGrid) once for every
-# slope into (gain, norm, cross): the value at a slope is (gain + min of the
-# cross term over the offset) / norm, the cross term given by per-packet
-# (weights, phases) or by (c1, c2, drift) of its affine closed form.
+# _terms samples a scenario (or a grid of them) once for every slope into
+# (gain, norm, cross): the value at a slope is (gain + min of the cross term
+# over the offset) / norm, the cross term given by per-packet (weights,
+# phases) or by (c1, c2, drift) of its affine closed form.
 # ---------------------------------------------------------------------------
 _FACTORS = {"omega": (True, False, False), "pl": (True, True, False),
             "phi": (False, False, True), "combined": (True, True, True)}
@@ -381,6 +379,7 @@ def _worst(scen, terms, slope):
 
 
 def _sum_snr(slope, scen, mode, use_exact, model=None, patterns=None, fit="taylor", t0=None):
+    scen._require_single()
     if not math.isfinite(slope):
         raise ValueError(f"slope {slope!r} is not finite")
     path = "exact" if use_exact else "affine"

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from phasecomb import cli
+from phasecomb import cli, experiments
 
 
 def run_cli(args):
@@ -228,6 +228,21 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: pathloss config") and "Traceback" not in err, text
         assert not (tmp_path / "x.csv").exists()
+
+
+def test_out_of_memory_is_an_error_line(tmp_path, monkeypatch, capsys):
+    # a grid too large to allocate, as --dx-max 1e9 --dx-step 1e-3 asks for
+    def huge(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(999999999001,) and data type float64")
+
+    monkeypatch.setattr(experiments, "_span", huge)
+    out = tmp_path / "x.csv"
+    assert run_cli(["a-omega-range", "--dx-max", "1e9", "--dx-step", "1e-3",
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_validate_passes(capsys):

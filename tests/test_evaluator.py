@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasecomb import (DESIGN_SNR_SCALE, DegenerateGeometry, NonPositiveDistance,
-                       PathlossModel, PhasecombError, PositivityViolation,
+from phasecomb import (DESIGN_SNR_SCALE, DegenerateGeometry, InvalidRequest,
+                       NonPositiveDistance, PathlossModel, PhasecombError, PositivityViolation,
                        ScenarioParams, ValidityViolation, aoa_exact, builtin_pattern,
                        carrier_wavelength, fit_antenna_gain_product,
                        fit_antenna_phase_diff, kmh_to_mps, least_squares_fit,
@@ -405,3 +405,23 @@ def test_single_calls_check_fit_t0_and_slope_on_both_paths(use_exact):
         for mode in MODES:
             with pytest.raises(ValueError, match="slope .* is not finite"):
                 public_call(mode, slope, scen, use_exact)
+
+
+@pytest.mark.parametrize("use_exact", [True, False], ids=["exact", "affine"])
+@pytest.mark.parametrize("mode", MODES)
+def test_single_calls_and_sweep_bases_reject_a_grid(mode, use_exact):
+    # a one-element array reached float() and raised TypeError
+    fields = {"d_x": np.array([30.0]), "d_y": np.array([-4.0, 4.0]),
+              "delta_v": np.array([[0.0], [11.0]])}
+    unit = TWO_PI / (10 * 0.1)
+    for name, grid in fields.items():
+        scen = ScenarioParams(**{**vars(scen_at()), name: grid})
+        with pytest.raises(InvalidRequest, match="one scenario"):
+            public_call(mode, unit, scen, use_exact)
+        with pytest.raises(InvalidRequest, match="one scenario"):
+            speed_sweep(mode, {"q1": unit}, [0.0, 20.0], scen, model=MODEL, patterns=PATTERNS,
+                        paths=("exact" if use_exact else "affine",))
+    # a zero-dimensional array is one scenario
+    scen = ScenarioParams(**{**vars(scen_at()), "d_x": np.array(30.0)})
+    assert public_call(mode, unit, scen, use_exact) == public_call(mode, unit, scen_at(),
+                                                                   use_exact)

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from phasecomb import (DegenerateGeometry, ScenarioParams, aoa_exact,
+from phasecomb import (DegenerateGeometry, ScenarioParams, TooFewPackets, aoa_exact,
                        carrier_wavelength, kmh_to_mps, omega_exact,
-                       propagation_distances, transmitter_distance)
+                       propagation_distances, taylor_omega, transmitter_distance)
 
 
 def make_scen(**kw):
@@ -34,6 +34,14 @@ def test_carrier_wavelength():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         make_scen(n_packets=1)
+    # too few packets is the same typed error as in the kernels
+    with pytest.raises(TooFewPackets):
+        make_scen(n_packets=1)
+    # a fractional count gave three packet times but a 1.5 T burst window
+    for bad in (2.5, 10.0, np.float64(10.0)):
+        with pytest.raises(ValueError, match="packet count"):
+            make_scen(n_packets=bad)
+    assert make_scen(n_packets=np.int64(10)).packet_times().shape == (10,)
     with pytest.raises(ValueError):
         make_scen(t_interval=0.0)
     with pytest.raises(ValueError):
@@ -146,3 +154,49 @@ def test_aoa_degenerate_at_array_center():
     scen = make_scen(d_x=0.0, d_y=0.0, delta_a=0.0)
     with pytest.raises(DegenerateGeometry):
         aoa_exact(scen, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# grids of scenarios: d_x, d_y and delta_v as arrays broadcast together
+# ---------------------------------------------------------------------------
+
+def make_grid():
+    return make_scen(d_y=np.array([-4.0, 0.5, 4.0])[:, None],
+                     delta_v=np.array([-12.0, 0.0, 7.5, 16.0])[None, :])
+
+
+def test_grid_packet_times_run_along_a_first_axis():
+    scen = make_grid()
+    tk = scen.packet_times()
+    assert tk.shape == (10, 1, 1)
+    assert omega_exact(scen, tk).shape == (10, 3, 4)
+    np.testing.assert_array_equal(tk[:, 0, 0], make_scen().packet_times())
+    assert make_scen(d_x=np.array(30.0)).packet_times().shape == (10,)
+
+
+def test_grid_fields_are_checked_elementwise():
+    for field in ("d_x", "d_y", "delta_v"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="scenario parameters must be finite"):
+                make_scen(**{field: np.array([[1.0, bad], [2.0, 3.0]])})
+    # a grid runs every check a single scenario runs
+    with pytest.raises(ValueError, match="wavelength"):
+        make_scen(d_x=np.array([10.0, 20.0]), wavelength=-0.05)
+    with pytest.raises(ValueError, match="packet count"):
+        make_scen(d_x=np.array([10.0, 20.0]), n_packets=2.5)
+
+
+def test_grid_values_equal_the_per_cell_scalar_calls():
+    grid = make_grid()
+    times = grid.packet_times()
+    cells = {"omega": omega_exact(grid, times), "aoa": aoa_exact(grid, times),
+             "distance": transmitter_distance(grid, times),
+             "slope": np.broadcast_to(taylor_omega(grid).slope, (3, 4))}
+    for i, d_y in enumerate(grid.d_y[:, 0]):
+        for j, delta_v in enumerate(grid.delta_v[0]):
+            scen = make_scen(d_y=float(d_y), delta_v=float(delta_v))
+            tk = scen.packet_times()
+            assert cells["omega"][:, i, j].tolist() == omega_exact(scen, tk).tolist()
+            assert cells["aoa"][:, i, j].tolist() == aoa_exact(scen, tk).tolist()
+            assert cells["distance"][:, i, j].tolist() == transmitter_distance(scen, tk).tolist()
+            assert cells["slope"][i, j] == taylor_omega(scen).slope

@@ -19,7 +19,10 @@ raised.  The calls are
   (also an empty ``threshold_distance`` sweep), nested, scalar and
   non-numeric distance and offset grids, no or unknown paths, no slopes,
   an unknown fit on both paths, non-finite ``t0`` and slopes, zero and NaN
-  steps.  Each records the class name of whatever it raises (any
+  steps; non-integer packet counts; slope-set requests with too few
+  packets or a zero, negative or NaN interval; grid scenarios (array
+  ``d_x``, ``d_y`` or ``delta_v``) passed to ``sum_snr_*`` and as the base of
+  ``speed_sweep``.  Each records the class name of whatever it raises (any
   exception), or what it returns.
 
 ``compare`` prints every key whose value differs or that only one dump
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,6 +42,9 @@ SEED = 20221
 N_RANDOM = 150
 MODES = ("omega", "pl", "phi", "combined")
 PATTERN_PAIRS = (("patch_front", "patch_rear"), ("isotropic", "cardioid"))
+# grid scenario fields: a one-element array (which reached float()) and two others
+GRIDS = {"d_x": np.array([30.0]), "d_y": np.array([-4.0, 4.0]),
+         "delta_v": np.array([[0.0], [11.0]])}
 
 
 def _value(pc, fn, *args, **kwargs) -> str:
@@ -98,6 +105,10 @@ def _outcome(fn, *args, **kwargs) -> str:
         return type(exc).__name__
     if isinstance(result, float):
         return f"ok {result.hex()}"
+    if isinstance(result, np.ndarray):
+        return "ok " + " ".join(float(v).hex() for v in result)
+    if not hasattr(result, "series"):
+        return f"ok {result!r}"
     columns = (result.values, *result.series.values())
     return "ok " + " | ".join(" ".join(float(v).hex() for v in col) for col in columns)
 
@@ -154,13 +165,32 @@ def _requests(pc, model, pairs):
                 pc.sum_snr_pl, unit, scen, model, use_exact=exact, t0=t0)
             yield f"request\tsum_snr_combined\t{path}\tt0={t0!r}", _outcome(
                 pc.sum_snr_combined, unit, scen, model, *pair, use_exact=exact, t0=t0)
+        calls = {"omega": (pc.sum_snr_omega, ()), "pl": (pc.sum_snr_pl, (model,)),
+                 "phi": (pc.sum_snr_phi, pair), "combined": (pc.sum_snr_combined,
+                                                             (model, *pair))}
         for slope in (math.nan, math.inf):
-            calls = {"omega": (pc.sum_snr_omega, ()), "pl": (pc.sum_snr_pl, (model,)),
-                     "phi": (pc.sum_snr_phi, pair), "combined": (pc.sum_snr_combined,
-                                                                 (model, *pair))}
             for mode, (fn, extra) in calls.items():
                 yield f"request\tsum_snr_{mode}\t{path}\tslope={slope!r}", _outcome(
                     fn, slope, scen, *extra, use_exact=exact)
+        for field, grid in GRIDS.items():
+            for mode, (fn, extra) in calls.items():
+                yield f"request\tsum_snr_{mode}\t{path}\tgrid {field}={grid.tolist()}", _outcome(
+                    lambda: fn(unit, replace(scen, **{field: grid}), *extra, use_exact=exact))
+    for field, grid in GRIDS.items():
+        for mode in MODES:
+            yield f"request\tspeed_sweep\t{mode}\tgrid base {field}={grid.tolist()}", _outcome(
+                lambda: pc.speed_sweep(mode, {"q1": unit}, [-20.0, 0.0, 20.0],
+                                       replace(base, **{field: grid}), model=model, patterns=pair))
+    for n in (2.5, 10.0):
+        yield f"request\tsum_snr_omega\tn_packets={n!r}", _outcome(
+            lambda: pc.sum_snr_omega(1.0, replace(scen, n_packets=n)))
+        yield f"request\tloss\tn_packets={n!r}", _outcome(pc.loss, 0.3, 1.0, 0.0, n)
+    slope_sets = {"optimal_slope_set": pc.optimal_slope_set,
+                  "design_rule_alpha_star": pc.design_rule_alpha_star,
+                  "check_optimality": lambda n, t: pc.check_optimality([0.0, 1.0], n, t)}
+    for name, fn in slope_sets.items():
+        for n, t in ((1, 0.1), (2.5, 0.1), (4, 0.0), (4, -0.1), (4, math.nan)):
+            yield f"request\t{name}\tn={n!r},t={t!r}", _outcome(fn, n, t)
 
 
 def _sweeps(pc, model, pairs):
