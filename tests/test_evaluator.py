@@ -410,7 +410,7 @@ def test_single_calls_check_fit_t0_and_slope_on_both_paths(use_exact):
 @pytest.mark.parametrize("use_exact", [True, False], ids=["exact", "affine"])
 @pytest.mark.parametrize("mode", MODES)
 def test_single_calls_and_sweep_bases_reject_a_grid(mode, use_exact):
-    # a one-element array reached float() and raised TypeError
+    # even a one-element array is a grid, not a number
     fields = {"d_x": np.array([30.0]), "d_y": np.array([-4.0, 4.0]),
               "delta_v": np.array([[0.0], [11.0]])}
     unit = TWO_PI / (10 * 0.1)

@@ -37,7 +37,7 @@ def test_scenario_validation():
     # too few packets is the same typed error as in the kernels
     with pytest.raises(TooFewPackets):
         make_scen(n_packets=1)
-    # a fractional count gave three packet times but a 1.5 T burst window
+    # a fractional count has no packet times that match its burst window
     for bad in (2.5, 10.0, np.float64(10.0)):
         with pytest.raises(ValueError, match="packet count"):
             make_scen(n_packets=bad)

@@ -658,7 +658,7 @@ def test_check_optimality():
 
 
 def test_packet_counts_must_be_integers():
-    # at a count of 2.5 the loss came out 0.92 for a burst that does not exist
+    # no burst has 2.5 packets, and a float count is not a count
     for n in (2.5, 10.0, np.float64(4.0)):
         for call in (lambda: loss(0.3, 1.0, 0.0, n),
                      lambda: loss(np.array([0.3]), 1.0, 0.0, n),
@@ -672,14 +672,14 @@ def test_packet_counts_must_be_integers():
 @pytest.mark.parametrize("call", [optimal_slope_set, design_rule_alpha_star,
                                   lambda n, t: check_optimality([0.0, 1.0], n, t)])
 def test_slope_sets_check_their_burst(call):
-    # n = 1 put slope 0, on the severe set, into the design rule
+    # with n = 1 the design rule would pick slope 0, on the severe set
     for n in (1, 0, -2):
         with pytest.raises(TooFewPackets):
             call(n, 0.1)
     for n in (2.5, 4.0):
         with pytest.raises(ValueError, match="packet count"):
             call(n, 0.1)
-    # a zero interval divided by zero, a NaN one answered False
+    # a zero interval would divide by zero, a NaN one make every check False
     for t in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="packet interval"):
             call(4, t)

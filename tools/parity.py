@@ -42,7 +42,7 @@ SEED = 20221
 N_RANDOM = 150
 MODES = ("omega", "pl", "phi", "combined")
 PATTERN_PAIRS = (("patch_front", "patch_rear"), ("isotropic", "cardioid"))
-# grid scenario fields: a one-element array (which reached float()) and two others
+# grid scenario fields: a one-element array, which is still a grid, and two others
 GRIDS = {"d_x": np.array([30.0]), "d_y": np.array([-4.0, 4.0]),
          "delta_v": np.array([[0.0], [11.0]])}
 
