@@ -4,7 +4,8 @@ Two slopes from the zero-loss comb are compared while the phase difference
 drifts: the naive first member (q=1) and the design-rule choice (q=K/2).
 At 30 m the naive slope collapses by tens of dB at specific speeds; the
 robust slope never gives up more than a fraction of a dB.  The exact
-evaluation and the affine closed form are shown side by side.
+evaluation and the one built from the affine (linearized) fits are shown
+side by side.
 
 Run:  python3 demos/speed_sweeps.py  (writes speed_sweep_omega.csv here)
 """

@@ -1,7 +1,7 @@
 """Affine-in-time models of slowly drifting channel quantities.
 
-The closed-form burst machinery needs each time-varying quantity reduced to
-slope * t + intercept over the burst window.  Two routes produce such a
+The affine evaluation path and the closed forms need each time-varying
+quantity reduced to slope * t + intercept over the burst window.  Two routes produce such a
 model: a first-order Taylor expansion of the known closed-form quantity
 around a chosen instant (default: the middle of the burst window), or an
 unweighted least-squares fit through sampled values.

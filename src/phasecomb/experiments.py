@@ -18,7 +18,7 @@ import numpy as np
 from . import affine, antenna, geometry, pathloss, snr
 from .errors import InvalidRequest, PhasecombError
 
-_BLOCK_CELLS = 1 << 18  # array elements a speed sweep evaluates at once
+_BLOCK_CELLS = 1 << 18  # array elements a sweep evaluates at once
 
 
 @dataclass
@@ -95,6 +95,13 @@ def _span(lo: float, hi: float, step: float, what: str) -> np.ndarray:
     return grid[grid <= hi + 1e-9 * step]
 
 
+def _blocks(values: np.ndarray, cells: int) -> list[np.ndarray]:
+    """values split into consecutive blocks of at least one value, each within
+    _BLOCK_CELLS array elements when one value spans cells of them."""
+    rows = max(1, _BLOCK_CELLS // cells)
+    return np.split(values, range(rows, values.size, rows))
+
+
 def a_omega_range(d_x_values, *, delta_a: float, wavelength: float,
                   n_packets: int = 10, t_interval: float = 0.1,
                   dv_max_kmh: float = 60.0, dv_step_kmh: float = 1.0,
@@ -111,9 +118,12 @@ def a_omega_range(d_x_values, *, delta_a: float, wavelength: float,
     grid = geometry.ScenarioParams(d_x=d_x[:, None, None], d_y=dy[:, None], delta_v=speeds,
                                    delta_a=delta_a, wavelength=wavelength,
                                    n_packets=n_packets, t_interval=t_interval)
-    half = 0.5 * affine.taylor_omega(grid).slope * t_interval
-    lo = half.min(axis=(1, 2))
-    hi = half.max(axis=(1, 2))
+    t0, lo, hi = affine._default_t0(grid, None), [], []
+    for block in _blocks(d_x, dy.size * speeds.size):
+        half = 0.5 * geometry._omega_slope(replace(grid, d_x=block[:, None, None]), t0) * t_interval
+        lo.append(half.min(axis=(1, 2)))
+        hi.append(half.max(axis=(1, 2)))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
     return SweepResult(
         name="a_omega_range",
         independent="d_x_m",
@@ -173,11 +183,10 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     slope_grid = np.array([float(v) for v in slopes.values()])[:, None, None]
     if not np.all(np.isfinite(slope_grid)):
         raise ValueError("slopes must be finite")
-    # as many speed rows per grid as keep its (packet, slope, row, offset)
-    # arrays within _BLOCK_CELLS; each grid is sampled once for every slope
-    rows = max(1, _BLOCK_CELLS // (base.n_packets * slope_grid.size * dy.size))
+    # each grid of speed rows is sampled once for every slope into
+    # (packet, slope, row, offset) arrays
     blocks, max_distance = [], 0.0
-    for block in np.split(speeds, range(rows, speeds.size, rows)):
+    for block in _blocks(speeds, base.n_packets * slope_grid.size * dy.size):
         try:
             grid = replace(base, d_y=dy[None, :], delta_v=block[:, None])
             terms = snr._terms(grid, mode, built, model, patterns, phi_min, "taylor", t0)
@@ -190,7 +199,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
                     for scen in scens:
                         snr._terms(scen, mode, (path,), model, patterns, phi_min, "taylor", t0)
             raise
-        gain, norm, _ = terms["exact"]  # gain / norm is a float in omega mode
+        gain, norm = terms["exact"][:2]  # gain / norm is a float in omega mode
         worst["reference"] = np.broadcast_to(gain / norm, (block.size, dy.size))
         blocks.append({key: value.min(axis=-1) for key, value in worst.items()})
         ends = grid.packet_times()[[0, -1]]

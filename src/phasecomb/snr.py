@@ -61,6 +61,7 @@ def in_severe_set(x: float) -> bool:
 
 def in_zero_loss_set(x: float, n_packets: int) -> bool:
     """True when x is within tolerance of q * pi / n_packets but not of q * pi."""
+    geometry._check_burst(n_packets)
     if in_severe_set(x):
         return False
     return abs(math.sin(n_packets * x)) < n_packets * X_TOL
@@ -80,6 +81,7 @@ def _dirichlet(x: float, n: int) -> tuple[float, float] | None:
     With x = q pi + e and s = (-1)^(q (n - 1)), f1 = s sin(n e) / sin(e) and
     f2 = s (n cos(n e) sin(e) - sin(n e) cos(e)) / sin(e)^2 at any offset e.
     """
+    geometry._check_burst(n)
     # math.remainder is exact against the float value of pi; the _PI_TAIL
     # correction adds the part of pi the float drops, which would otherwise
     # cost ~8 digits in sin(n e) when x sits within 1e-4 of a pole
@@ -102,6 +104,7 @@ def _dirichlet_values(x, n: int):
     """_dirichlet over an array of x: (f1, f2, severe), with f1 and f2
     finite but meaningless where severe is set.  Kept beside the scalar
     form, which is about 30x faster on a single float."""
+    geometry._check_burst(n)
     x = np.asarray(x, dtype=float)
     # fmod is exact and the fold subtractions are exact by Sterbenz, so e
     # matches the scalar math.remainder split
@@ -142,6 +145,7 @@ def affine_coefficients(slope: float, intercept: float, n_packets: int,
     c1 is the mean per-packet weight, c2 half the per-interval increment;
     the closed-form cross term depends on the weights only through them.
     """
+    geometry._check_burst(n_packets, t_interval)
     c1 = intercept + slope * t_interval * (n_packets - 1) / 2.0
     c2 = slope * t_interval / 2.0
     return c1, c2
@@ -154,19 +158,19 @@ def c_ratio_squared(w: float, n_packets: int, t_interval: float) -> float:
     all per-packet weights stay positive.  Decreasing in w below 0,
     increasing above: faster weight drift in either direction costs more.
     """
+    geometry._check_burst(n_packets, t_interval)
     a_edge = 1.0 / ((n_packets - 1) * t_interval)
     if w <= -a_edge:
         raise NonPositiveC1(f"w={w!r} leaves the positive-weight region")
     return (w / ((n_packets - 1) * (w + 2.0 * a_edge))) ** 2
 
 
-def _check_weights(c1: float, c2: float, n_packets: int) -> None:
-    """Admissible affine weights: 0 < c1 < inf, finite c2, an integer n >= 2."""
+def _check_weights(c1: float, c2: float) -> None:
+    """Admissible affine weights: 0 < c1 < inf and a finite c2."""
     if not 0.0 < c1 < math.inf:
         raise NonPositiveC1("mean per-packet weight must be positive and finite")
     if not math.isfinite(c2):
         raise ValueError("per-interval weight increment must be finite")
-    geometry._check_burst(n_packets)
 
 
 def loss(x, c1, c2, n_packets: int):
@@ -178,10 +182,10 @@ def loss(x, c1, c2, n_packets: int):
     if isinstance(x, np.ndarray) or isinstance(c1, np.ndarray) or isinstance(c2, np.ndarray):
         # the extreme weights are admissible only if all of them are
         c1, c2 = np.asarray(c1), np.asarray(c2)
-        _check_weights(c1.min() if c1.max() < math.inf else c1.max(), abs(c2).max(), n_packets)
+        _check_weights(c1.min() if c1.max() < math.inf else c1.max(), abs(c2).max())
         f1v, f2v, severe = _dirichlet_values(x, n_packets)
         return np.where(severe, 1.0, np.hypot(c1 * f1v, c2 * f2v) / (c1 * n_packets))
-    _check_weights(c1, c2, n_packets)
+    _check_weights(c1, c2)
     f = _dirichlet(x, n_packets)
     if f is None:
         return 1.0
@@ -196,7 +200,6 @@ def loss_bounds(x, n_packets: int):
     for any positive affine weights.  On the severe set both collapse to 1.
     x may be a float (two floats returned) or an array (two arrays).
     """
-    geometry._check_burst(n_packets)
     n = n_packets
     f1v, f2v, severe = _dirichlet_values(x, n)
     lower = np.where(severe, 1.0, np.abs(f1v) / n)
@@ -235,7 +238,7 @@ def worst_case_y(x: float, c1: float, c2: float,
     Returns (y_min, j_min) with y_min in [0, 2 pi).  When the cross term
     vanishes identically (c2 = 0 and f1(x) = 0) the convention is (0, 0).
     """
-    _check_weights(c1, c2, n_packets)
+    _check_weights(c1, c2)
     n = n_packets
     f = _dirichlet(x, n)
     if f is None:
@@ -301,18 +304,18 @@ def check_optimality(slopes: Sequence[float], n_packets: int,
 # mode drifts the factors _FACTORS marks (phase difference, path gain,
 # antenna responses); weights multiply the gain factors, phases add up.
 # _terms samples a scenario (or a grid of them) once for every slope into
-# (gain, norm, cross): the value at a slope is (gain + min of the cross term
-# over the offset) / norm, the cross term given by per-packet (weights,
-# phases) or by (c1, c2, drift) of its affine closed form.
+# (gain, norm, weights, phases) per packet: the exact path the true factors,
+# the affine path each factor's fit at the packet times.  On both paths the
+# value at a slope is (gain + min of the cross term over the offset) / norm.
 # ---------------------------------------------------------------------------
 _FACTORS = {"omega": (True, False, False), "pl": (True, True, False),
             "phi": (False, False, True), "combined": (True, True, True)}
 
 
 def _terms(scen, mode, paths, model, patterns, phi_min, fit, t0):
-    """{path: (gain, norm, cross)} for each path in paths from one sampling
-    of the mode's factors.  The affine path fits each factor; with two
-    drifting weight factors (combined) it samples the composed fits."""
+    """{path: (gain, norm, weights, phases)} for each path in paths from one
+    sampling of the mode's factors.  The affine path fits each factor, the
+    phase difference first, and samples the fits at the packet times."""
     if fit not in ("taylor", "least_squares"):
         raise ValueError(f"unknown fit method {fit!r}")
     t0 = affine._default_t0(scen, t0)
@@ -329,48 +332,34 @@ def _terms(scen, mode, paths, model, patterns, phi_min, fit, t0):
     if has_pl and ("exact" in paths or fit == "least_squares"):
         pl = pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, tk))
     terms = {}
-    if "exact" in paths:
-        w = pl if has_pl else 1.0
-        phase = geometry.omega_exact(scen, tk) if has_omega else None
-        gain = np.sum(pl, axis=0) if has_pl and not has_resp else n
-        if has_resp:
-            w = w * resp.mag0 * resp.mag1 if has_pl else resp.mag0 * resp.mag1
-            phase = phase + (resp.phase0 - resp.phase1) if has_omega else resp.phase0 - resp.phase1
-            gain = np.sum(pl * half_gain if has_pl else half_gain, axis=0)
-        terms["exact"] = gain, norm, (w, phase)
-    if "affine" in paths:
-        om = affine.taylor_omega(scen, t0) if has_omega else None
-        if has_pl and fit == "taylor":
-            pg = affine.taylor_pathgain(model, scen, t0)
+    for path in paths:
+        exact = path == "exact"
+        w, phase = 1.0, 0.0
+        if has_omega:
+            # a constant phase drops out of the minimum over the offset, so
+            # the affine path reads only the slope of the phase difference
+            phase = geometry.omega_exact(scen, tk) if exact else geometry._omega_slope(scen, t0) * tk
+        if has_pl and exact:
+            w = pl
+        elif has_pl and fit == "taylor":
+            w = affine.taylor_pathgain(model, scen, t0)(tk)
         elif has_pl:
-            pg = affine.least_squares_fit(tk, pl)
-            affine.require_positive(pg, tk)
+            fitted = affine.least_squares_fit(tk, pl)
+            affine.require_positive(fitted, tk)
+            w = fitted(tk)
+        gain = np.sum(w * half_gain if has_resp else w, axis=0) if has_pl or has_resp else n
         if has_resp:
-            product = affine.fit_antenna_gain_product(resp)
-            dphase = affine.fit_antenna_phase_diff(resp)
-        if has_pl and has_resp:
-            pl_fit = pg(tk)
-            terms["affine"] = (np.sum(pl_fit * half_gain, axis=0), norm,
-                               (pl_fit * product(tk), om(tk) + dphase(tk)))
-        else:
-            weight = pg if has_pl else product if has_resp else None
-            c1, c2 = ((1.0, 0.0) if weight is None else
-                      affine_coefficients(weight.slope, weight.intercept, n, scen.t_interval))
-            gain = np.sum(half_gain, axis=0) if has_resp else c1 * n
-            terms["affine"] = gain, norm, (c1, c2, (om if has_omega else dphase).slope)
+            w = w * resp.mag0 * resp.mag1 if exact else w * affine.fit_antenna_gain_product(resp)(tk)
+            phase = phase + (resp.phase0 - resp.phase1 if exact
+                             else affine.fit_antenna_phase_diff(resp)(tk))
+        terms[path] = gain, norm, w, phase
     return terms
 
 
 def _worst(scen, terms, slope):
     """Worst-case sum-SNR from a builder's terms at one slope, or over an
     array of slopes shaped to broadcast in front of a grid's shape."""
-    gain, norm, cross = terms
-    n = scen.n_packets
-    if len(cross) == 3:
-        c1, c2, drift = cross
-        x = 0.5 * (slope - drift) * scen.t_interval
-        return (gain - c1 * n * loss(x, c1, c2, n)) / norm
-    w, phase = cross
+    gain, norm, w, phase = terms
     tk = scen.packet_times()
     if isinstance(slope, np.ndarray):
         # packets stay on the first axis, the slopes go after them

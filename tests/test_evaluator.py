@@ -1,11 +1,13 @@
 """Public worst-case sum-SNR evaluators and the sweep built on them.
 
 The four sum_snr_* calls share one burst evaluator, which the sweep driver
-runs once on a whole (speed, offset) grid; these tests pin each mode
-against independent routes: single calls cell by cell (values, and the
-error the first failing scenario raises), a brute force offset scan over
-weights and phases rebuilt from the scenario fields, and a direct
-resummation of the affine models behind the closed form.
+runs once on a whole (speed, offset) grid; both paths end in the same
+worst-case-offset step over per-packet weights and phases.  These tests pin
+each mode against independent routes: single calls cell by cell (values,
+and the error the first failing scenario raises), a brute force offset
+scan over weights and phases rebuilt from the scenario fields, and, for
+the affine path, a direct resummation of the affine models and the
+paper's closed form wherever at most one weight factor drifts.
 """
 
 import math
@@ -19,9 +21,9 @@ from hypothesis import strategies as st
 
 from phasecomb import (DESIGN_SNR_SCALE, DegenerateGeometry, InvalidRequest,
                        NonPositiveDistance, PathlossModel, PhasecombError, PositivityViolation,
-                       ScenarioParams, ValidityViolation, aoa_exact, builtin_pattern,
-                       carrier_wavelength, fit_antenna_gain_product,
-                       fit_antenna_phase_diff, kmh_to_mps, least_squares_fit,
+                       ScenarioParams, ValidityViolation, affine_coefficients, aoa_exact,
+                       builtin_pattern, carrier_wavelength, fit_antenna_gain_product,
+                       fit_antenna_phase_diff, kmh_to_mps, least_squares_fit, loss,
                        mean_path_gain, min_cross_term, sample_responses, speed_sweep,
                        sum_snr_combined, sum_snr_omega, sum_snr_phi, sum_snr_pl,
                        taylor_omega, taylor_pathgain, transmitter_distance)
@@ -277,46 +279,61 @@ def test_exact_path_matches_offset_scan(mode):
 
 
 # ---------------------------------------------------------------------------
-# affine closed form against direct resummation of the affine models
+# affine path against direct resummation of the fits and the closed form
 # ---------------------------------------------------------------------------
 
-def affine_terms(mode, scen, fit):
-    """(gain, norm, weights, phases) sampled from the affine models."""
+def affine_fits(mode, scen, fit):
+    """(gain, norm, weight fits, phase fits): the affine path's weights are
+    the product of the weight fits at the packet times, its phases the sum
+    of the phase fits."""
     n = scen.n_packets
     tk = scen.packet_times()
     om = taylor_omega(scen)
     if mode == "omega":
-        return float(n), float(n), np.ones(n), om(tk)
+        return float(n), float(n), [], [om]
+    if mode in ("pl", "combined") and fit == "taylor":
+        pg = taylor_pathgain(MODEL, scen)
+    elif mode == "pl":
+        pg = least_squares_fit(tk, mean_path_gain(MODEL, transmitter_distance(scen, tk)))
     if mode == "pl":
-        if fit == "taylor":
-            pg = taylor_pathgain(MODEL, scen)
-        else:
-            pg = least_squares_fit(tk, mean_path_gain(MODEL,
-                                                      transmitter_distance(scen, tk)))
         norm = n * mean_path_gain(MODEL, transmitter_distance(scen, 0.0))
-        return float(np.sum(pg(tk))), norm, pg(tk), om(tk)
+        return float(np.sum(pg(tk))), norm, [pg], [om]
     phi_min = antenna.worst_case_aoa(*PATTERNS)
     resp = sample_responses(*PATTERNS, scen, phi_min - aoa_exact(scen, 0.0))
-    gain = float(np.sum(0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)))
-    norm = n * antenna.combined_mean_gain(*PATTERNS, phi_min)
+    half_gain = 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
     product, dphase = fit_antenna_gain_product(resp), fit_antenna_phase_diff(resp)
-    return gain, norm, product(tk), dphase(tk)
+    if mode == "phi":
+        norm = n * antenna.combined_mean_gain(*PATTERNS, phi_min)
+        return float(np.sum(half_gain)), norm, [product], [dphase]
+    return (float(np.sum(pg(tk) * half_gain)), 1.0 / DESIGN_SNR_SCALE,
+            [pg, product], [om, dphase])
 
 
 @pytest.mark.parametrize("mode, fit", [("omega", "taylor"), ("pl", "taylor"),
-                                       ("pl", "least_squares"), ("phi", "taylor")])
-def test_affine_closed_form_matches_resummation(mode, fit):
+                                       ("pl", "least_squares"), ("phi", "taylor"),
+                                       ("combined", "taylor")])
+def test_affine_path_matches_resummation_and_closed_form(mode, fit):
     for d_x, d_y, dv_kmh, k in ((30.0, -4.0, 40.0, 10), (20.0, 3.0, -40.0, 7),
                                 (100.0, 0.5, 55.0, 12)):
         scen = scen_at(d_x=d_x, d_y=d_y, dv_kmh=dv_kmh, n_packets=k)
-        gain, norm, w, theta = affine_terms(mode, scen, fit)
+        t = scen.t_interval
+        gain, norm, weights, phases = affine_fits(mode, scen, fit)
         tk = scen.packet_times()
-        for slope in slopes_for(k, scen.t_interval):
-            want = (gain + min_cross_term(w, theta - slope * tk)) / norm
+        w = math.prod(f(tk) for f in weights)
+        theta = sum(f(tk) for f in phases)
+        for slope in slopes_for(k, t):
             if mode == "pl":
                 got = sum_snr_pl(slope, scen, MODEL, use_exact=False, fit=fit)
             else:
                 got = public_call(mode, slope, scen, False)
+            want = (gain + min_cross_term(w, theta - slope * tk)) / norm
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * gain / norm), (d_x, slope)
+            if len(weights) > 1:
+                continue  # two drifting weight factors leave the affine closed form
+            c1, c2 = (affine_coefficients(weights[0].slope, weights[0].intercept, k, t)
+                      if weights else (1.0, 0.0))
+            x = 0.5 * (slope - phases[0].slope) * t
+            want = (gain - c1 * k * loss(x, c1, c2, k)) / norm
             assert got == pytest.approx(want, abs=1e-12), (d_x, slope)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from phasecomb import (DegenerateGeometry, InvalidRequest, PathlossModel, Scenar
                        SweepResult, a_omega_range, builtin_pattern, carrier_wavelength,
                        kmh_to_mps, loss_curve, pl_slope_losses, speed_sweep,
                        taylor_omega, threshold_distance)
+from phasecomb import experiments
 from phasecomb.experiments import _span
 
 LAM = carrier_wavelength(5.9e9)
@@ -162,19 +164,38 @@ def per_point_range(d_x_values, d_y_values, delta_a, n_packets, t_interval,
     return np.array(lo), np.array(hi)
 
 
-@pytest.mark.parametrize("d_x_values, d_y_values, delta_a, n_packets, t_interval, dv_step", [
-    (np.arange(1.0, 101.0, 1.0), (-4.0, 4.0), 10.0 * LAM, 10, 0.1, 1.0),
-    (np.arange(0.0, 101.0, 5.0), (-6.0, 0.3, 2.5), 10.0 * LAM, 8, 0.05, 2.0),
-    ([-30.0, 2.5, 17.0, 250.0], (-1.0, 1.5), 0.5 * LAM, 3, 0.2, 7.5),
-], ids=["default", "three-offsets-K8-T0.05", "narrow-spacing"])
-def test_a_omega_range_matches_per_point_oracle(d_x_values, d_y_values, delta_a,
-                                                n_packets, t_interval, dv_step):
+@pytest.mark.parametrize("d_x_values, d_y_values, delta_a, n_packets, t_interval, dv_step, block", [
+    (np.arange(1.0, 101.0, 1.0), (-4.0, 4.0), 10.0 * LAM, 10, 0.1, 1.0, None),
+    (np.arange(0.0, 101.0, 5.0), (-6.0, 0.3, 2.5), 10.0 * LAM, 8, 0.05, 2.0, None),
+    ([-30.0, 2.5, 17.0, 250.0], (-1.0, 1.5), 0.5 * LAM, 3, 0.2, 7.5, None),
+    # blocks of 3, 3 and 1 distances
+    (np.arange(0.0, 101.0, 15.0), (-6.0, 0.3, 2.5), 10.0 * LAM, 8, 0.05, 2.0, 3 * 3 * 61),
+], ids=["default", "three-offsets-K8-T0.05", "narrow-spacing", "distance-blocks"])
+def test_a_omega_range_matches_per_point_oracle(d_x_values, d_y_values, delta_a, n_packets,
+                                                t_interval, dv_step, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(experiments, "_BLOCK_CELLS", block)
     res = a_omega_range(d_x_values, delta_a=delta_a, wavelength=LAM, n_packets=n_packets,
                         t_interval=t_interval, dv_step_kmh=dv_step, d_y_values=d_y_values)
     lo, hi = per_point_range(d_x_values, d_y_values, delta_a, n_packets, t_interval,
                              60.0, dv_step)
     assert np.array_equal(res.series["half_slope_min_rad"], lo)
     assert np.array_equal(res.series["half_slope_max_rad"], hi)
+
+
+def test_a_omega_range_memory_stays_flat_as_the_distance_grid_grows():
+    # 121 speeds x 2 offsets: at 10,000 distances one grid would hold 19 MB
+    # per (distance, offset, speed) array
+    peaks = []
+    for n_distances in (1_000, 10_000):
+        tracemalloc.start()
+        try:
+            a_omega_range(np.linspace(10.0, 120.0, n_distances), delta_a=10.0 * LAM,
+                          wavelength=LAM)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_a_omega_range_rejects_bad_input():

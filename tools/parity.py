@@ -19,14 +19,19 @@ raised.  The calls are
   (also an empty ``threshold_distance`` sweep), nested, scalar and
   non-numeric distance and offset grids, no or unknown paths, no slopes,
   an unknown fit on both paths, non-finite ``t0`` and slopes, zero and NaN
-  steps; non-integer packet counts; slope-set requests with too few
+  steps; non-integer packet counts, and counts below 2 passed to the
+  kernels and weight helpers; slope-set requests with too few
   packets or a zero, negative or NaN interval; grid scenarios (array
   ``d_x``, ``d_y`` or ``delta_v``) passed to ``sum_snr_*`` and as the base of
   ``speed_sweep``.  Each records the class name of whatever it raises (any
   exception), or what it returns.
 
 ``compare`` prints every key whose value differs or that only one dump
-holds, and exits 1 if there is any; it compares bit for bit.
+holds, and exits 1 if there is any; it compares bit for bit.  It then
+prints, for each call group, the number of differing entries, how many of
+them change outcome class (an error's class name, a value, or missing),
+and the largest absolute and relative difference between the numbers of
+entries that hold numbers on both sides.
 """
 
 from __future__ import annotations
@@ -185,6 +190,14 @@ def _requests(pc, model, pairs):
         yield f"request\tsum_snr_omega\tn_packets={n!r}", _outcome(
             lambda: pc.sum_snr_omega(1.0, replace(scen, n_packets=n)))
         yield f"request\tloss\tn_packets={n!r}", _outcome(pc.loss, 0.3, 1.0, 0.0, n)
+    kernels = {"f1": lambda n: pc.f1(0.3, n), "f2": lambda n: pc.f2(0.3, n),
+               "j_affine": lambda n: pc.j_affine(0.3, 0.0, 1.0, 0.0, n),
+               "in_zero_loss_set": lambda n: pc.in_zero_loss_set(0.3, n),
+               "affine_coefficients": lambda n: pc.affine_coefficients(1.0, 2.0, n, 0.1),
+               "c_ratio_squared": lambda n: pc.c_ratio_squared(0.1, n, 0.1)}
+    for name, fn in kernels.items():
+        for n in (1, 2.5):
+            yield f"request\t{name}\tn_packets={n!r}", _outcome(fn, n)
     slope_sets = {"optimal_slope_set": pc.optimal_slope_set,
                   "design_rule_alpha_star": pc.design_rule_alpha_star,
                   "check_optimality": lambda n, t: pc.check_optimality([0.0, 1.0], n, t)}
@@ -244,14 +257,57 @@ def _read(path: str) -> dict[str, str]:
         return dict(line.rstrip("\n").rsplit("\t", 1) for line in fh)
 
 
+def _group(key: str) -> str:
+    """The call group of a key: a single call and its path, a sweep's mode
+    and series kind (a path, the reference, the metadata or the outcome of a
+    failed sweep), or a request's driver."""
+    fields = key.split("\t")
+    if fields[0] == "sweep":
+        series = fields[6] if len(fields) > 6 else "outcome"
+        return f"sweep {fields[1]} {series.removesuffix('_db').rsplit('_', 1)[-1]}"
+    if fields[0] == "request":
+        return f"request {fields[1]}"
+    return f"{fields[0]} {fields[2]}"
+
+
+def _class(value: str) -> str:
+    """The class name a value records an error by, or "value" for a result."""
+    return value if value.isidentifier() and value not in ("inf", "nan") else "value"
+
+
+def _numbers(value: str) -> list[float] | None:
+    """The floats a value records, or None when it records anything else."""
+    try:
+        return [float.fromhex(t) for t in value.removeprefix("ok ").split() if t != "|"]
+    except ValueError:
+        return None
+
+
 def compare(a: str, b: str) -> int:
     left, right = _read(a), _read(b)
     differences = 0
+    groups: dict[str, list] = {}  # group: [differing, class changes, max abs, max rel]
     for key in dict.fromkeys((*left, *right)):
-        if left.get(key) != right.get(key):
-            differences += 1
-            print(f"{key.replace(chr(9), ' ')}: {left.get(key, '<missing>')} "
-                  f"-> {right.get(key, '<missing>')}")
+        stats = groups.setdefault(_group(key), [0, 0, 0.0, 0.0])
+        old, new = left.get(key), right.get(key)
+        if old == new:
+            continue
+        differences += 1
+        print(f"{key.replace(chr(9), ' ')}: {old or '<missing>'} -> {new or '<missing>'}")
+        stats[0] += 1
+        if old is None or new is None or _class(old) != _class(new):
+            stats[1] += 1  # a missing entry changes class too
+            continue
+        x, y = _numbers(old), _numbers(new)
+        if x is not None and y is not None and len(x) == len(y):
+            for u, v in zip(x, y):
+                if u != v and not (math.isnan(u) and math.isnan(v)):
+                    stats[2] = max(stats[2], abs(u - v))
+                    stats[3] = max(stats[3], abs(u - v) / max(abs(u), abs(v)))
+    width = max(map(len, groups))
+    print(f"{'group':{width}}  differ  class  max_abs  max_rel")
+    for group, (count, changed, most, most_rel) in groups.items():
+        print(f"{group:{width}}  {count:6d}  {changed:5d}  {most:.2e}  {most_rel:.2e}")
     print(f"{differences} of {len(left.keys() | right.keys())} entries differ")
     return 1 if differences else 0
 
