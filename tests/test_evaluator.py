@@ -291,10 +291,9 @@ def affine_fits(mode, scen, fit):
     om = taylor_omega(scen)
     if mode == "omega":
         return float(n), float(n), [], [om]
-    if mode in ("pl", "combined") and fit == "taylor":
-        pg = taylor_pathgain(MODEL, scen)
-    elif mode == "pl":
-        pg = least_squares_fit(tk, mean_path_gain(MODEL, transmitter_distance(scen, tk)))
+    if mode != "phi":
+        pg = (taylor_pathgain(MODEL, scen) if fit == "taylor" else
+              least_squares_fit(tk, mean_path_gain(MODEL, transmitter_distance(scen, tk))))
     if mode == "pl":
         norm = n * mean_path_gain(MODEL, transmitter_distance(scen, 0.0))
         return float(np.sum(pg(tk))), norm, [pg], [om]
