@@ -38,9 +38,9 @@ class SweepResult:
         for key, value in self.metadata.items():
             lines.append(f"# {key}: {value}")
         lines.append(",".join([self.independent, *self.series.keys()]))
-        columns = [np.asarray(self.values), *self.series.values()]
-        for i in range(len(self.values)):
-            lines.append(",".join(repr(float(col[i])) for col in columns))
+        columns = (np.asarray(col, dtype=float).tolist()
+                   for col in (self.values, *self.series.values()))
+        lines.extend(",".join(map(repr, row)) for row in zip(*columns, strict=True))
         payload = "\n".join(lines) + "\n"
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:

@@ -17,6 +17,8 @@ from .errors import PositivityViolation, ValidityViolation
 
 TWO_PI = 2.0 * math.pi
 Y_SCAN_GRID = 100_000  # grid size of the brute-force search over the offset y
+_SCAN_CHUNK = 1 << 14  # grid points per scan chunk: its cos, sin and value rows stay in cache
+_SCAN_BURSTS = 256  # bursts per slice of the per-burst sums
 
 
 @dataclass(frozen=True)
@@ -30,25 +32,33 @@ def worst_case_y_scan(weights, phases, n_grid: int = Y_SCAN_GRID):
     """Brute-force minimum over a y grid of sum_k w_k cos(theta_k - y), the
     oracle for the closed-form minima: (y, value) at the first grid minimum,
     floats for one burst.  Packets run along the first axis and further axes
-    hold independent bursts, as in `snr.min_cross_term`.  The bursts are
-    scanned together, a block of grid points at a time, so cos/sin of each grid
-    point are evaluated once per call and memory stays bounded."""
+    hold independent bursts, as in `snr.min_cross_term`.  The grid is walked in
+    chunks of `_SCAN_CHUNK` points: cos/sin of a chunk are taken once, then each
+    burst scans the chunk as one contiguous row, so memory stays bounded in both
+    the grid and the bursts."""
     w, p = (np.moveaxis(a, 0, -1) for a in np.broadcast_arrays(weights, phases))
-    cw, sw = (np.sum(np.multiply(f(p), w, order="C"), axis=-1).ravel()
-              for f in (np.cos, np.sin))  # C order: each burst sums as a 1-D burst
-    # blocks of about 32k grid x burst values keep the memory flat in the bursts
-    rows, step = np.arange(cw.size), max(1, (1 << 15) // cw.size)
-    best, best_i = np.full(cw.size, np.inf), np.zeros(cw.size, dtype=int)
-    for start in range(0, n_grid, step):
-        y = np.arange(start, min(start + step, n_grid)) * (TWO_PI / n_grid)
-        vals = np.multiply.outer(cw, np.cos(y))
-        vals += np.multiply.outer(sw, np.sin(y))
-        i = np.argmin(vals, axis=1)
-        better = vals[rows, i] < best  # strict, so a tie keeps the earlier grid point
-        best[better], best_i[better] = vals[rows, i][better], i[better] + start
-    y_min = (best_i * (TWO_PI / n_grid)).reshape(p.shape[:-1])
-    best = best.reshape(p.shape[:-1])
-    return (float(y_min), float(best)) if p.ndim == 1 else (y_min, best)
+    shape = p.shape[:-1]
+    w, p = (a.reshape(math.prod(shape), a.shape[-1]) for a in (w, p))
+    cw, sw = np.empty((2, len(p)))
+    for s in range(0, len(p), _SCAN_BURSTS):  # C order: each burst sums as a 1-D burst
+        part = slice(s, s + _SCAN_BURSTS)
+        cw[part], sw[part] = (np.sum(np.multiply(f(p[part]), w[part], order="C"), axis=-1)
+                              for f in (np.cos, np.sin))
+    best, best_i = np.full(len(p), np.inf), np.zeros(len(p), dtype=int)
+    rows = np.empty((4, min(n_grid, _SCAN_CHUNK)))  # cos y, sin y, values, scratch
+    for start in range(0, n_grid, _SCAN_CHUNK):
+        y = np.arange(start, min(start + _SCAN_CHUNK, n_grid), dtype=float)
+        y *= TWO_PI / n_grid
+        cy, sy, v, t = rows[:, :y.size]
+        np.cos(y, out=cy), np.sin(y, out=sy)
+        for b in range(len(p)):
+            np.multiply(cy, cw[b], out=v)
+            v += np.multiply(sy, sw[b], out=t)
+            i = v.argmin()
+            if v[i] < best[b]:  # strict, so a tie keeps the earlier grid point
+                best[b], best_i[b] = v[i], i + start
+    y_min, best = (best_i * (TWO_PI / n_grid)).reshape(shape), best.reshape(shape)
+    return (float(y_min), float(best)) if not shape else (y_min, best)
 
 
 def _sample_x(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -88,6 +88,41 @@ def test_to_csv_layout_and_precision(tmp_path):
     assert first[1] == res.series["loss"][0]
 
 
+def cell_by_cell_rows(res):
+    # the data rows as written one cell at a time: repr of each value as a float
+    columns = [res.values, *res.series.values()]
+    return [",".join(repr(float(col[i])) for col in columns) for i in range(len(res.values))]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: loss_curve(10),
+    lambda: pl_slope_losses(10),
+    lambda: a_omega_range([10.0, 30.0, 100.0], delta_a=10.0 * LAM, wavelength=LAM,
+                          dv_step_kmh=5.0),
+    lambda: speed_sweep("omega", {"q1": BASE_SLOPE, "q2": 2.0 * BASE_SLOPE},
+                        np.arange(-60.0, 61.0, 5.0), base_scen(), paths=("affine", "exact")),
+    lambda: SweepResult(name="ints", independent="q", values=np.arange(1, 4),
+                        series={"count": [2, 3, 4]}),
+], ids=["loss_curve", "pl_slope_losses", "a_omega_range", "speed_sweep", "ints"])
+def test_to_csv_rows_match_cell_by_cell_formatting(tmp_path, make):
+    res = make()
+    out = tmp_path / "out.csv"
+    res.to_csv(out)
+    rows = out.read_text(encoding="utf-8").splitlines()[-len(res.values):]
+    assert rows == cell_by_cell_rows(res)
+    if res.name in ("pl_slope_losses", "ints"):  # integers still print as floats
+        assert rows[0].startswith("1.0,")
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_to_csv_rejects_a_series_of_another_length(tmp_path, length):
+    res = SweepResult(name="bad", independent="x", values=np.arange(3.0),
+                      series={"y": np.arange(float(length))})
+    with pytest.raises(ValueError):
+        res.to_csv(tmp_path / "out.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_to_csv_is_deterministic(tmp_path):
     res = loss_curve(7, x_step=0.1)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

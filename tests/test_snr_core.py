@@ -445,6 +445,28 @@ def test_scan_memory_stays_flat_as_bursts_are_stacked():
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+CHUNK = validation._SCAN_CHUNK  # grid points the scan takes at a time
+
+
+@pytest.mark.parametrize("n_grid", [1_000, 2 * CHUNK, 2 * CHUNK + 123])
+def test_scan_finds_minima_on_chunk_edges(n_grid):
+    # one packet w cos(theta - y) is least at y = theta + pi, so each burst
+    # puts its minimum on a chosen grid point: both sides of a chunk boundary,
+    # the last point of the grid and inside a partial last chunk
+    step = TWO_PI / n_grid
+    targets = [i for i in (0, 1, CHUNK - 1, CHUNK, 2 * CHUNK - 1, n_grid - 60, n_grid - 1)
+               if i < n_grid]
+    w = np.ones((1, len(targets) + 1))
+    theta = np.append(np.array(targets) * step - math.pi, 0.0)[np.newaxis]
+    w[0, -1] = 0.0  # every grid point ties at zero, across every chunk
+    y, j = worst_case_y_scan(w, theta, n_grid=n_grid)
+    assert np.array_equal(y[:-1], np.array(targets) * step)
+    assert (y[-1], j[-1]) == (0.0, 0.0)  # the tie keeps the first grid point
+    for b in range(w.shape[1]):
+        ref = one_burst_scan(w[:, b], theta[:, b], n_grid)
+        assert np.array([y[b], j[b]]).tobytes() == np.array(ref).tobytes(), b
+
+
 @pytest.mark.parametrize("shift, passes", [(0.0, True), (1e-9, False), (-1e-8, False),
                                            (-1e-9, True)])
 def test_scan_check_catches_a_shifted_closed_form(monkeypatch, shift, passes):

@@ -24,7 +24,11 @@ raised.  The calls are
   packets or a zero, negative or NaN interval; grid scenarios (array
   ``d_x``, ``d_y`` or ``delta_v``) passed to ``sum_snr_*`` and as the base of
   ``speed_sweep``.  Each records the class name of whatever it raises (any
-  exception), or what it returns.
+  exception), or what it returns;
+* the brute-force ``validation.worst_case_y_scan`` on seeded bursts (one
+  burst; 200 zero-padded bursts shaped like the battery's scan check; 2,000
+  bursts on a 5,000-point grid): every y and value; and the pass flag and
+  detail string of each ``run_validation(42)`` check.
 
 ``compare`` prints every key whose value differs or that only one dump
 holds, and exits 1 if there is any; it compares bit for bit.  It then
@@ -239,6 +243,25 @@ def _sweeps(pc, model, pairs):
                         yield f"{key}\tmetadata", repr(res.metadata)
 
 
+def _scans(pc):
+    from phasecomb.validation import worst_case_y_scan
+    rng = np.random.default_rng(SEED)
+    cases = {"1 burst": (rng.uniform(0.1, 2.0, 12), rng.uniform(-50.0, 50.0, 12), 100_000)}
+    weights, phases = np.zeros((2, 15, 200))  # packet counts 2 to 15, zero-padded
+    for b in range(200):
+        n = int(rng.integers(2, 16))
+        weights[:n, b] = rng.uniform(0.2, 5.0) + rng.uniform(-0.5, 2.0) * np.arange(n) * 0.1
+        phases[:n, b] = 2.0 * rng.uniform(1e-6, math.pi - 1e-6) * np.arange(n)
+    cases["200 padded bursts"] = (weights, phases, 100_000)
+    cases["2000 bursts"] = (rng.uniform(0.1, 2.0, (15, 2000)),
+                            rng.uniform(-50.0, 50.0, (15, 2000)), 5_000)
+    for label, (w, p, n_grid) in cases.items():
+        for name, values in zip(("y", "value"), worst_case_y_scan(w, p, n_grid)):
+            yield f"scan\t{label}\t{name}", " ".join(float(v).hex() for v in np.ravel(values))
+    for res in pc.run_validation(42):
+        yield f"validate\t{res.name}", f"{res.passed} {res.detail}"
+
+
 def dump(out: str) -> None:
     import phasecomb as pc
     warnings.simplefilter("ignore")  # the pathloss validity warning is in the metadata
@@ -248,7 +271,7 @@ def dump(out: str) -> None:
     print(f"phasecomb from {pc.__file__}", file=sys.stderr)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in (*_single_calls(pc, model, pairs), *_sweeps(pc, model, pairs),
-                           *_requests(pc, model, pairs)):
+                           *_requests(pc, model, pairs), *_scans(pc)):
             fh.write(f"{key}\t{value}\n")
 
 
@@ -260,8 +283,12 @@ def _read(path: str) -> dict[str, str]:
 def _group(key: str) -> str:
     """The call group of a key: a single call and its path, a sweep's mode
     and series kind (a path, the reference, the metadata or the outcome of a
-    failed sweep), or a request's driver."""
+    failed sweep), a request's driver, a scan case or the validation battery."""
     fields = key.split("\t")
+    if fields[0] == "scan":
+        return f"scan {fields[1]}"
+    if fields[0] == "validate":
+        return "validate"
     if fields[0] == "sweep":
         series = fields[6] if len(fields) > 6 else "outcome"
         return f"sweep {fields[1]} {series.removesuffix('_db').rsplit('_', 1)[-1]}"
