@@ -18,7 +18,7 @@ from .errors import (DegenerateGeometry, DegenerateSamples, DomainX,
                      EmptyPattern, InvalidRequest, MalformedRow,
                      NonMonotonicAzimuth, NonPositiveC1, NonPositiveDistance,
                      PhasecombError, PositivityViolation, TooFewPackets,
-                     ValidityViolation)
+                     ValidityViolation, ZeroGain)
 from .experiments import (SweepResult, a_omega_range, loss_curve,
                           pl_slope_losses, speed_sweep, threshold_distance)
 from .geometry import (ScenarioParams, aoa_exact, carrier_wavelength,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -33,7 +34,9 @@ class AntennaPattern:
 
     phase is stored unwrapped along the grid; the wraparound segment between
     the last and (periodically repeated) first sample keeps the accumulated
-    winding, so interpolated phase is continuous everywhere.
+    winding, so interpolated phase is continuous everywhere.  A pattern is
+    immutable: it holds read-only copies of the arrays it is given, so the
+    values it derives and keeps stay valid.
     """
 
     azimuth: np.ndarray    # radians in [0, 2 pi), strictly increasing
@@ -41,9 +44,9 @@ class AntennaPattern:
     phase: np.ndarray      # radians, unwrapped along the grid
 
     def __post_init__(self) -> None:
-        az = np.asarray(self.azimuth, dtype=float)
-        mag = np.asarray(self.magnitude, dtype=float)
-        ph = np.asarray(self.phase, dtype=float)
+        az = np.array(self.azimuth, dtype=float)
+        mag = np.array(self.magnitude, dtype=float)
+        ph = np.array(self.phase, dtype=float)
         if az.size == 0:
             raise EmptyPattern("pattern has no samples")
         if az.shape != mag.shape or az.shape != ph.shape:
@@ -57,9 +60,9 @@ class AntennaPattern:
         if not (np.all(np.isfinite(az)) and np.all(np.isfinite(mag))
                 and np.all(np.isfinite(ph))):
             raise ValueError("pattern samples must be finite")
-        object.__setattr__(self, "azimuth", az)
-        object.__setattr__(self, "magnitude", mag)
-        object.__setattr__(self, "phase", ph)
+        for name, values in (("azimuth", az), ("magnitude", mag), ("phase", ph)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @cached_property
     def _extended(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -73,6 +76,17 @@ class AntennaPattern:
             winding = 0
         ph = np.append(self.phase, self.phase[0] + winding * TWO_PI)
         return az, mag, ph
+
+    @cached_property
+    def _partners(self) -> weakref.WeakKeyDictionary:
+        # partner pattern -> invariants of the ordered pair (self, partner);
+        # an entry lives as long as its partner does
+        return weakref.WeakKeyDictionary()
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the samples; the kept pair invariants,
+        # held by weak reference, stay behind
+        return AntennaPattern, (self.azimuth, self.magnitude, self.phase)
 
     def evaluate(self, phi):
         """Interpolated (magnitude, phase) at azimuth phi, periodic in 2 pi."""
@@ -94,10 +108,30 @@ def combined_mean_gain(pattern0: AntennaPattern, pattern1: AntennaPattern, phi):
 
 def worst_case_aoa(pattern0: AntennaPattern, pattern1: AntennaPattern) -> float:
     """AOA minimizing the combined mean gain, in [0, 2 pi); ties keep the
-    smallest angle.  Between the merged azimuth nodes of both patterns each
-    magnitude is linear, so the gain is a convex quadratic on each segment
-    (wraparound included), minimal at its vertex clipped to the segment or,
-    on a flat segment, at its start."""
+    smallest angle.  Found on the pair's first use and kept after that."""
+    return _pair_invariants(pattern0, pattern1)[0]
+
+
+def _pair_invariants(pattern0: AntennaPattern,
+                     pattern1: AntennaPattern) -> tuple[float, float | None]:
+    """(phi_min, gain) of the ordered pair: its worst-case AOA and the combined
+    mean gain there, or None for the gain when it is 0 and cannot normalise
+    a burst.  Computed on the pair's first use and kept with pattern0 for as
+    long as pattern1 lives."""
+    partners = pattern0._partners
+    invariants = partners.get(pattern1)
+    if invariants is None:
+        phi = _find_worst_case_aoa(pattern0, pattern1)
+        gain = combined_mean_gain(pattern0, pattern1, phi)
+        invariants = partners[pattern1] = phi, (gain if gain > 0.0 else None)
+    return invariants
+
+
+def _find_worst_case_aoa(pattern0: AntennaPattern, pattern1: AntennaPattern) -> float:
+    """The worst-case AOA search.  Between the merged azimuth nodes of both
+    patterns each magnitude is linear, so the gain is a convex quadratic on
+    each segment (wraparound included), minimal at its vertex clipped to the
+    segment or, on a flat segment, at its start."""
     nodes = np.unique(np.concatenate(([0.0, TWO_PI], pattern0.azimuth, pattern1.azimuth)))
     m = np.array([pattern0.evaluate(nodes)[0], pattern1.evaluate(nodes)[0]])
     d = np.diff(m)

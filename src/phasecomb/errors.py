@@ -29,6 +29,11 @@ class NonMonotonicAzimuth(PhasecombError):
     """Antenna pattern azimuth grid is not strictly increasing."""
 
 
+class ZeroGain(PhasecombError):
+    """Both antenna patterns have zero gain at their worst-case AOA, so the
+    phi mode has nothing to normalise the burst by."""
+
+
 class DegenerateSamples(PhasecombError):
     """Affine fit requested on fewer than two distinct sample times."""
 

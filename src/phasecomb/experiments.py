@@ -177,7 +177,6 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         raise InvalidRequest("no evaluation paths" if not paths else "no slopes")
     dv_kmh_values = _values(dv_kmh_values, "speed")
     dy = _values((base.d_y,) if d_y_values is None else d_y_values, "offset")
-    phi_min = antenna.worst_case_aoa(*patterns) if uses_resp else None
     speeds = geometry.kmh_to_mps(dv_kmh_values)
     built = tuple(dict.fromkeys((*paths, "exact")))
     slope_grid = np.array([float(v) for v in slopes.values()])[:, None, None]
@@ -189,7 +188,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     for block in _blocks(speeds, base.n_packets * slope_grid.size * dy.size):
         try:
             grid = replace(base, d_y=dy[None, :], delta_v=block[:, None])
-            terms = snr._terms(grid, mode, built, model, patterns, phi_min, "taylor", t0)
+            terms = snr._terms(grid, mode, built, model, patterns, "taylor", t0)
             worst = {path: snr._worst(grid, terms[path], slope_grid) for path in paths}
         except (PhasecombError, ValueError):
             # raise the first failing scenario's error, not the grid's first failing check
@@ -197,7 +196,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
                 scens = [replace(base, d_y=d, delta_v=v) for d in dy]
                 for path in built:
                     for scen in scens:
-                        snr._terms(scen, mode, (path,), model, patterns, phi_min, "taylor", t0)
+                        snr._terms(scen, mode, (path,), model, patterns, "taylor", t0)
             raise
         gain, norm = terms["exact"][:2]  # gain / norm is a float in omega mode
         worst["reference"] = np.broadcast_to(gain / norm, (block.size, dy.size))

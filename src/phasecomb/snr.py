@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import affine, antenna, geometry, pathloss
-from .errors import DomainX, NonPositiveC1
+from .errors import DomainX, NonPositiveC1, ZeroGain
 
 TWO_PI = 2.0 * math.pi
 
@@ -312,7 +312,7 @@ _FACTORS = {"omega": (True, False, False), "pl": (True, True, False),
             "phi": (False, False, True), "combined": (True, True, True)}
 
 
-def _terms(scen, mode, paths, model, patterns, phi_min, fit, t0):
+def _terms(scen, mode, paths, model, patterns, fit, t0):
     """{path: (gain, norm, weights, phases)} for each path in paths from one
     sampling of the mode's factors.  The affine path fits each factor, the
     phase difference first, and samples the fits at the packet times."""
@@ -322,13 +322,16 @@ def _terms(scen, mode, paths, model, patterns, phi_min, fit, t0):
     has_omega, has_pl, has_resp = _FACTORS[mode]
     n = scen.n_packets
     if has_resp:
+        phi_min, aoa_gain = antenna._pair_invariants(*patterns)
+        if aoa_gain is None and not has_pl:
+            raise ZeroGain("both antenna patterns have zero gain at the worst-case AOA")
         # shift the AOA trajectory so the first packet arrives from phi_min
         resp = antenna.sample_responses(*patterns, scen, phi_min - geometry.aoa_exact(scen, 0.0))
         half_gain = 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
     tk = resp.times if has_resp else scen.packet_times()
     norm = (1.0 / DESIGN_SNR_SCALE if has_pl and has_resp
             else n * pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, 0.0))
-            if has_pl else n * antenna.combined_mean_gain(*patterns, phi_min) if has_resp else n)
+            if has_pl else n * aoa_gain if has_resp else n)
     if has_pl and ("exact" in paths or fit == "least_squares"):
         pl = pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, tk))
     terms = {}
@@ -372,9 +375,7 @@ def _sum_snr(slope, scen, mode, use_exact, model=None, patterns=None, fit="taylo
     if not math.isfinite(slope):
         raise ValueError(f"slope {slope!r} is not finite")
     path = "exact" if use_exact else "affine"
-    phi_min = None if patterns is None else antenna.worst_case_aoa(*patterns)
-    return float(_worst(scen, _terms(scen, mode, (path,), model, patterns, phi_min, fit, t0)[path],
-                        slope))
+    return float(_worst(scen, _terms(scen, mode, (path,), model, patterns, fit, t0)[path], slope))
 
 
 def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,

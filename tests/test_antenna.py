@@ -1,6 +1,10 @@
 """Antenna patterns: interpolation, worst-case AOA, builtins, CSV loading."""
 
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from phasecomb import (AntennaPattern, EmptyPattern, MalformedRow,
                        NonMonotonicAzimuth, ScenarioParams, aoa_exact,
                        builtin_pattern, combined_mean_gain, load_pattern_csv,
                        sample_responses, worst_case_aoa)
+from phasecomb import antenna
 from phasecomb.antenna import BUILTIN_PATTERNS
 
 TWO_PI = 2.0 * math.pi
@@ -171,6 +176,77 @@ def test_worst_case_aoa_tie_breaks_to_smallest_angle():
 def test_worst_case_aoa_isotropic_returns_zero():
     p = builtin_pattern("isotropic")
     assert worst_case_aoa(p, p) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# pair invariants kept with the patterns
+# ---------------------------------------------------------------------------
+
+def test_cached_worst_case_aoa_matches_the_search_bit_for_bit():
+    first = [builtin_pattern(name) for name in BUILTIN_PATTERNS]
+    second = [builtin_pattern(name) for name in BUILTIN_PATTERNS]
+    pairs = [(a, b) for a in first for b in second] + [(p, p) for p in first]
+    for p0, p1 in pairs:
+        want = antenna._find_worst_case_aoa(p0, p1)
+        for _ in range(3):  # the first call searches, the others reuse
+            assert worst_case_aoa(p0, p1).hex() == want.hex()
+        phi, gain = antenna._pair_invariants(p0, p1)
+        assert phi.hex() == want.hex()
+        assert gain.hex() == combined_mean_gain(p0, p1, want).hex()
+
+
+def test_pair_invariants_live_no_longer_than_the_patterns():
+    p0, p1 = patch_pair()
+    for pair in ((p0, p1), (p1, p0), (p0, p0)):
+        worst_case_aoa(*pair)
+    refs = [weakref.ref(p0), weakref.ref(p1)]
+    del p0, p1, pair
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    # a partner the caller drops leaves the pattern it was paired with
+    kept, dropped = patch_pair()
+    worst_case_aoa(kept, dropped)
+    ref = weakref.ref(dropped)
+    del dropped
+    gc.collect()
+    assert ref() is None
+    assert len(kept._partners) == 0
+
+
+def test_a_paired_pattern_pickles_and_copies():
+    p0, p1 = patch_pair()
+    want = worst_case_aoa(p0, p1)
+    for clone in (pickle.loads(pickle.dumps(p0)), copy.copy(p0), copy.deepcopy(p0)):
+        assert not clone.magnitude.flags.writeable
+        np.testing.assert_array_equal(clone.magnitude, p0.magnitude)
+        assert worst_case_aoa(clone, p1) == want
+
+
+def test_pattern_arrays_are_read_only():
+    pat = two_point_pattern()
+    for values in (pat.azimuth, pat.magnitude, pat.phase):
+        with pytest.raises(ValueError):
+            values[0] = 0.5
+
+
+def test_pattern_ignores_later_writes_to_the_caller_arrays():
+    partner = builtin_pattern("cardioid")
+    grid = np.linspace(0.0, TWO_PI, 97)
+    az, mag, ph = np.array([0.0, 1.0, 3.0]), np.array([1.0, 0.2, 2.0]), np.zeros(3)
+    reference = AntennaPattern(azimuth=az.copy(), magnitude=mag.copy(), phase=ph.copy())
+    want_m, want_p = reference.evaluate(grid)
+    want_aoa = worst_case_aoa(reference, partner)
+    # one pattern derives its values before the write, the other after it
+    used = AntennaPattern(azimuth=az, magnitude=mag, phase=ph)
+    assert worst_case_aoa(used, partner) == want_aoa
+    used.evaluate(grid)
+    fresh = AntennaPattern(azimuth=az, magnitude=mag, phase=ph)
+    az[1], mag[:], ph[:] = 2.0, 5.0, 1.0
+    for pat in (used, fresh):
+        m, p = pat.evaluate(grid)
+        np.testing.assert_array_equal(m, want_m)
+        np.testing.assert_array_equal(p, want_p)
+        assert worst_case_aoa(pat, partner) == want_aoa
 
 
 def test_sample_responses_follows_trajectory():

@@ -230,6 +230,19 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
         assert not (tmp_path / "x.csv").exists()
 
 
+def test_phi_sweep_on_a_zero_gain_pair_exits_one(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rows = {"zero.csv": "0,-inf,0\n180,-inf,0\n", "null.csv": "0,0,0\n90,-inf,0\n180,0,0\n"}
+    for name, body in rows.items():
+        pattern = tmp_path / name
+        pattern.write_text("azimuth_deg,gain_dbi,phase_deg\n" + body, encoding="utf-8")
+        assert run_cli(["speed-sweep", "--mode", "phi", "--paths", "exact",
+                        "--pattern0", str(pattern), "--pattern1", str(pattern),
+                        "--out", str(out)]) == 1, name
+        assert "zero gain at the worst-case AOA" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_out_of_memory_is_an_error_line(tmp_path, monkeypatch, capsys):
     # a grid too large to allocate, as --dx-max 1e9 --dx-step 1e-3 asks for
     def huge(*args):

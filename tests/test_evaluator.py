@@ -19,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasecomb import (DESIGN_SNR_SCALE, DegenerateGeometry, InvalidRequest,
+from phasecomb import (DESIGN_SNR_SCALE, AntennaPattern, DegenerateGeometry, InvalidRequest,
                        NonPositiveDistance, PathlossModel, PhasecombError, PositivityViolation,
-                       ScenarioParams, ValidityViolation, affine_coefficients, aoa_exact,
-                       builtin_pattern, carrier_wavelength, fit_antenna_gain_product,
-                       fit_antenna_phase_diff, kmh_to_mps, least_squares_fit, loss,
-                       mean_path_gain, min_cross_term, sample_responses, speed_sweep,
+                       ScenarioParams, ValidityViolation, ZeroGain, affine_coefficients,
+                       aoa_exact, builtin_pattern, carrier_wavelength, fit_antenna_gain_product,
+                       fit_antenna_phase_diff, kmh_to_mps, least_squares_fit, load_pattern_csv,
+                       loss, mean_path_gain, min_cross_term, sample_responses, speed_sweep,
                        sum_snr_combined, sum_snr_omega, sum_snr_phi, sum_snr_pl,
                        taylor_omega, taylor_pathgain, transmitter_distance)
 from phasecomb import antenna, experiments
@@ -342,18 +342,27 @@ def test_affine_path_matches_resummation_and_closed_form(mode, fit):
 
 @pytest.mark.parametrize("mode", ["phi", "combined"])
 def test_sweep_finds_worst_case_aoa_once(mode, monkeypatch):
+    # a freshly loaded pair has no worst-case AOA yet; one sweep finds it
+    # once, and a second sweep and 20 single calls on the pair reuse it
     calls = []
-    original = antenna.worst_case_aoa
+    original = antenna._find_worst_case_aoa
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(antenna, "worst_case_aoa", counting)
+    monkeypatch.setattr(antenna, "_find_worst_case_aoa", counting)
+    pair = (builtin_pattern("patch_front"), builtin_pattern("patch_rear"))
     unit = TWO_PI / (10 * 0.1)
-    speed_sweep(mode, {"q1": unit, "q5": 5.0 * unit}, [-30.0, 0.0, 30.0],
-                scen_at(dv_kmh=0.0), model=MODEL, patterns=PATTERNS,
-                d_y_values=(-4.0, 4.0))
+    for _ in range(2):
+        speed_sweep(mode, {"q1": unit, "q5": 5.0 * unit}, [-30.0, 0.0, 30.0],
+                    scen_at(dv_kmh=0.0), model=MODEL, patterns=pair,
+                    d_y_values=(-4.0, 4.0))
+        assert len(calls) == 1
+    for i in range(10):
+        scen = scen_at(dv_kmh=-30.0 + 6.0 * i)
+        sum_snr_phi(unit, scen, *pair, use_exact=i % 2 == 0)
+        sum_snr_combined(unit, scen, MODEL, *pair, use_exact=i % 2 == 1)
     assert len(calls) == 1
 
 
@@ -441,3 +450,24 @@ def test_single_calls_and_sweep_bases_reject_a_grid(mode, use_exact):
     scen = ScenarioParams(**{**vars(scen_at()), "d_x": np.array(30.0)})
     assert public_call(mode, unit, scen, use_exact) == public_call(mode, unit, scen_at(),
                                                                    use_exact)
+
+
+def test_phi_mode_rejects_a_pair_with_zero_gain_at_the_worst_case_aoa(tmp_path):
+    # an all-zero pair, and a common null written as a -inf dBi row
+    null = tmp_path / "null.csv"
+    null.write_text("azimuth_deg,gain_dbi,phase_deg\n0,0,0\n90,-inf,0\n180,0,0\n",
+                    encoding="utf-8")
+    zero = AntennaPattern(azimuth=np.array([0.0, math.pi]), magnitude=np.zeros(2),
+                          phase=np.zeros(2))
+    scen = scen_at()
+    unit = TWO_PI / (scen.n_packets * scen.t_interval)
+    zero_pair, null_pair = (zero, zero), (load_pattern_csv(null),) * 2
+    for pair in (zero_pair, null_pair):
+        for use_exact in (True, False):
+            with pytest.raises(ZeroGain, match="zero gain at the worst-case AOA"):
+                sum_snr_phi(unit, scen, *pair, use_exact=use_exact)
+        with pytest.raises(ZeroGain):
+            speed_sweep("phi", {"q1": unit}, [-20.0, 0.0], scen, patterns=pair)
+    # combined mode normalises by a fixed scale and still evaluates both pairs
+    assert sum_snr_combined(unit, scen, MODEL, *zero_pair) == 0.0
+    assert 0.0 < sum_snr_combined(unit, scen, MODEL, *null_pair) < math.inf

@@ -13,6 +13,10 @@ raised.  The calls are
   degenerate ones (a transmitter on an antenna or on the array center,
   close approaches past the pathloss reference distance, weights the fits
   drive negative);
+* ``sum_snr_phi`` and ``sum_snr_combined`` on both paths at two slopes
+  per scenario on pairs that reach a pattern pair's kept worst-case AOA in
+  other ways: each builtin pair reversed, its first pattern passed twice,
+  and a freshly loaded copy of the pair;
 * ``speed_sweep`` for the 4 modes x several d_x x 3 offset orders x 3 path
   sets x 2 pattern pairs: every series value, or the error;
 * malformed requests to every driver and ``sum_snr_*`` call: empty grids
@@ -105,6 +109,23 @@ def _single_calls(pc, model, pairs):
                                                       use_exact=exact)
                     yield f"combined_{name}\t{key}", _value(
                         pc, pc.sum_snr_combined, slope, scen, model, *pair, use_exact=exact)
+
+
+def _cache_calls(pc, model, pairs):
+    for name, (p0, p1) in pairs.items():
+        variants = {"reversed": (p1, p0), "same": (p0, p0),
+                    "fresh": tuple(map(pc.builtin_pattern, name.split("+")))}
+        for variant, pair in variants.items():
+            for label, scen in _scenarios(pc):
+                unit = 2.0 * math.pi / (scen.n_packets * scen.t_interval)
+                for path, exact in (("exact", True), ("affine", False)):
+                    for j, slope in enumerate((unit, 0.37 * unit)):
+                        key = f"{variant}\t{name}\t{label}\t{path}\ts{j}"
+                        yield f"cache\tphi\t{key}", _value(pc, pc.sum_snr_phi, slope, scen,
+                                                            *pair, use_exact=exact)
+                        yield f"cache\tcombined\t{key}", _value(
+                            pc, pc.sum_snr_combined, slope, scen, model, *pair,
+                            use_exact=exact)
 
 
 def _outcome(fn, *args, **kwargs) -> str:
@@ -270,7 +291,8 @@ def dump(out: str) -> None:
              for a, b in PATTERN_PAIRS}
     print(f"phasecomb from {pc.__file__}", file=sys.stderr)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in (*_single_calls(pc, model, pairs), *_sweeps(pc, model, pairs),
+        for key, value in (*_single_calls(pc, model, pairs), *_cache_calls(pc, model, pairs),
+                           *_sweeps(pc, model, pairs),
                            *_requests(pc, model, pairs), *_scans(pc)):
             fh.write(f"{key}\t{value}\n")
 
@@ -281,10 +303,13 @@ def _read(path: str) -> dict[str, str]:
 
 
 def _group(key: str) -> str:
-    """The call group of a key: a single call and its path, a sweep's mode
+    """The call group of a key: a single call and its path, a kept-AOA call's
+    mode and pair variant, a sweep's mode
     and series kind (a path, the reference, the metadata or the outcome of a
     failed sweep), a request's driver, a scan case or the validation battery."""
     fields = key.split("\t")
+    if fields[0] == "cache":
+        return f"cache {fields[1]} {fields[2]}"
     if fields[0] == "scan":
         return f"scan {fields[1]}"
     if fields[0] == "validate":
