@@ -15,7 +15,7 @@ from .antenna import (AntennaPattern, BurstResponses, builtin_pattern,
                       combined_mean_gain, load_pattern_csv, sample_responses,
                       worst_case_aoa)
 from .errors import (DegenerateGeometry, DegenerateSamples, DomainX,
-                     EmptyPattern, InvalidRequest, MalformedRow,
+                     EmptyPattern, InvalidRequest, MalformedRow, NonFiniteX,
                      NonMonotonicAzimuth, NonPositiveC1, NonPositiveDistance,
                      PhasecombError, PositivityViolation, TooFewPackets,
                      ValidityViolation, ZeroGain)

@@ -10,9 +10,11 @@ deeper.  Exit codes: 0 success, 1 runtime or validation failure, 2 usage
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -182,7 +184,11 @@ def _cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later run.  It holds
+    no per-run state: list defaults are tuples and --out defaults to None,
+    resolved against $PHASECOMB_OUT_DIR by main on each run."""
     parser = argparse.ArgumentParser(
         prog="phasecomb",
         description="Worst-case burst sum-SNR analysis for two-branch "
@@ -196,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--interval", "--T", type=_positive_float, default=0.1,
                            help="packet interval in seconds (default 0.1)")
         if default_csv:
-            p.add_argument("--out", default=_default_out(default_csv),
-                           help=f"output CSV path (default ${ENV_OUT_DIR} or cwd)")
+            p.add_argument("--out", help=f"output CSV path (default ${ENV_OUT_DIR} or cwd)")
+            p.set_defaults(default_csv=default_csv)
 
     p = sub.add_parser("loss-curve", help="loss and envelope bounds over x")
     add_common(p, "loss_curve.csv", interval=False)
@@ -218,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dx-step", type=_positive_float, default=1.0)
     p.add_argument("--dv-max", type=float, default=60.0, help="speed range [km/h]")
     p.add_argument("--dv-step", type=_positive_float, default=1.0)
-    p.add_argument("--dy-set", type=float, nargs="+", default=[-4.0, 4.0],
+    p.add_argument("--dy-set", type=float, nargs="+", default=(-4.0, 4.0),
                    help="lateral offsets to cover [m]")
     p.set_defaults(func=_cmd_a_omega_range)
 
@@ -229,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fc-ghz", type=float, default=5.9)
     p.add_argument("--spacing", type=float, default=None)
     p.add_argument("--dx", type=float, default=30.0)
-    p.add_argument("--dy-set", "--dy", type=float, nargs="+", default=[-4.0],
+    p.add_argument("--dy-set", "--dy", type=float, nargs="+", default=(-4.0,),
                    help="take the worst case over these lateral offsets [m]")
     p.add_argument("--dv-min", type=float, default=-60.0)
     p.add_argument("--dv-max", type=float, default=60.0)
@@ -270,8 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "out", "") is None:  # no --out given: read the env on each run
+        args.out = _default_out(args.default_csv)
     try:
-        return args.func(args)
+        # entering catch_warnings resets the once-per-location registry, so
+        # each run shows its own warnings; the caller's filters still apply
+        with warnings.catch_warnings():
+            return args.func(args)
     except (argparse.ArgumentTypeError, InvalidRequest) as exc:
         parser.error(str(exc))
     except (PhasecombError, OSError, ValueError, MemoryError) as exc:

@@ -50,6 +50,10 @@ class DomainX(PhasecombError):
     """Kernel evaluated within tolerance of a pole of 1/sin (x in the severe set)."""
 
 
+class NonFiniteX(PhasecombError, ValueError):
+    """Kernel evaluated at a NaN or infinite half slope-offset x."""
+
+
 class NonPositiveC1(PhasecombError):
     """Mean per-packet weight c1 must be strictly positive."""
 

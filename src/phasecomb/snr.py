@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import affine, antenna, geometry, pathloss
-from .errors import DomainX, NonPositiveC1, ZeroGain
+from .errors import DomainX, NonFiniteX, NonPositiveC1, ZeroGain
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,6 +82,8 @@ def _dirichlet(x: float, n: int) -> tuple[float, float] | None:
     f2 = s (n cos(n e) sin(e) - sin(n e) cos(e)) / sin(e)^2 at any offset e.
     """
     geometry._check_burst(n)
+    if not math.isfinite(x):
+        raise NonFiniteX(f"x={x!r} is not finite")
     # math.remainder is exact against the float value of pi; the _PI_TAIL
     # correction adds the part of pi the float drops, which would otherwise
     # cost ~8 digits in sin(n e) when x sits within 1e-4 of a pole
@@ -106,6 +108,8 @@ def _dirichlet_values(x, n: int):
     form, which is about 30x faster on a single float."""
     geometry._check_burst(n)
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise NonFiniteX("x holds a NaN or infinite value")
     # fmod is exact and the fold subtractions are exact by Sterbenz, so e
     # matches the scalar math.remainder split
     r = np.fmod(x, np.pi)

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -53,10 +54,62 @@ def test_loss_curve_writes_csv(tmp_path, capsys):
 
 
 def test_loss_curve_honors_output_dir_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))
-    assert run_cli(["loss-curve", "--packets", "4", "--step", "0.05"]) == 0
-    capsys.readouterr()
+    # the parser is shared by every run, so the default is read per run
+    args = ["loss-curve", "--packets", "4", "--step", "0.05"]
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / name))
+        assert run_cli(args) == 0
+        assert (tmp_path / name / "loss_curve.csv").is_file()
+    monkeypatch.delenv(cli.ENV_OUT_DIR)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args) == 0
     assert (tmp_path / "loss_curve.csv").is_file()
+    assert capsys.readouterr().out.splitlines()[-1].startswith("wrote ./loss_curve.csv")
+
+
+def test_default_a_omega_range_runs_are_byte_identical(tmp_path, monkeypatch, capsys):
+    # the second run starts from the defaults the first one parsed
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / name))
+        assert run_cli(["a-omega-range"]) == 0
+    capsys.readouterr()
+    a, b = (tmp_path / name / "a_omega_range.csv" for name in ("a", "b"))
+    assert a.read_bytes() == b.read_bytes()
+    assert "d_y_values_m: [-4.0, 4.0]" in a.read_text(encoding="utf-8")
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    assert run_cli(["design-rule"]) == 0
+    assert run_cli(["pl-losses", "--out", str(tmp_path / "pl.csv")]) == 0
+    with pytest.raises(SystemExit):
+        run_cli(["loss-curve", "--step", "0"])
+    assert run_cli(["design-rule", "--K", "5"]) == 0
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_import_builds_no_parser():
+    proc = subprocess.run([sys.executable, "-c", "import phasecomb.cli as c; "
+                           "print(c.build_parser.cache_info().currsize)"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "0"
+
+
+def test_every_run_shows_its_pathloss_validity_warning(tmp_path, capsys):
+    # pytest resets the warning filters per test, so both runs share one test
+    args = ["speed-sweep", "--mode", "pl", "--dx", "170", "--dv-min", "-60",
+            "--dv-max", "60", "--dv-step", "60"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")  # Python's: once per code location
+        for name in ("a.csv", "b.csv"):
+            assert run_cli(args + ["--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert ["validity horizon" in str(w.message) for w in caught] == [True, True]
+    for name in ("a.csv", "b.csv"):
+        assert "pl_validity_exceeded: True" in (tmp_path / name).read_text(encoding="utf-8")
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):

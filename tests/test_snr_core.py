@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasecomb import (DomainX, NonPositiveC1, TooFewPackets,
-                       affine_coefficients, c_ratio_squared, check_optimality,
-                       design_rule_alpha_star, f1, f2, in_severe_set,
+from phasecomb import (DomainX, NonFiniteX, NonPositiveC1, PhasecombError,
+                       TooFewPackets, affine_coefficients, c_ratio_squared,
+                       check_optimality, design_rule_alpha_star, f1, f2, in_severe_set,
                        in_zero_loss_set, interval_loss_bound, j_affine,
                        loss, loss_bounds, min_cross_term, optimal_slope_set, worst_case_y)
 from phasecomb import snr, validation
@@ -83,6 +83,29 @@ def test_f1_f2_raise_on_severe_set():
             f1(x, 10)
         with pytest.raises(DomainX):
             f2(x, 10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernels_reject_non_finite_x(bad):
+    scalar_calls = (lambda x: f1(x, 5), lambda x: f2(x, 5), lambda x: loss(x, 1.0, 0.0, 5),
+                    lambda x: loss_bounds(x, 5), lambda x: j_affine(x, 0.2, 1.0, 0.1, 5),
+                    lambda x: worst_case_y(x, 1.0, 0.1, 5))
+    for call in scalar_calls:
+        for x in (bad, np.float64(bad)):
+            with pytest.raises(NonFiniteX):
+                call(x)
+    # one bad entry of an array is enough, in any position and shape
+    for x in (np.array([bad, 0.3]), np.array([0.3, 0.6, bad]), np.array([[0.3], [bad]]),
+              np.array(bad)):
+        with pytest.raises(NonFiniteX):
+            loss(x, 1.0, 0.0, 5)
+        with pytest.raises(NonFiniteX):
+            loss(x, np.ones(x.shape), 0.1, 5)
+        with pytest.raises(NonFiniteX):
+            loss_bounds(x, 5)
+        with pytest.raises(NonFiniteX):
+            _dirichlet_values(x, 5)
+    assert issubclass(NonFiniteX, PhasecombError) and issubclass(NonFiniteX, ValueError)
 
 
 @given(x=st.floats(min_value=1e-6, max_value=4.0 * math.pi),

@@ -32,7 +32,15 @@ raised.  The calls are
 * the brute-force ``validation.worst_case_y_scan`` on seeded bursts (one
   burst; 200 zero-padded bursts shaped like the battery's scan check; 2,000
   bursts on a 5,000-point grid): every y and value; and the pass flag and
-  detail string of each ``run_validation(42)`` check.
+  detail string of each ``run_validation(42)`` check;
+* ``cli.main`` on each subcommand at its defaults, the README examples and
+  a few requests that exit 2 (usage) or 1 (runtime), each run three times
+  in this process: twice with ``$PHASECOMB_OUT_DIR`` unset, then with it
+  set to a temporary directory, every run in a fresh working directory.
+  Each run records its exit status, stdout, stderr and the bytes of every
+  file it wrote, with the temporary paths replaced by ``<cwd>`` and
+  ``<env>``.  Warnings are filtered out, as everywhere in the dump: the
+  CSV metadata records the pathloss validity flag.
 
 ``compare`` prints every key whose value differs or that only one dump
 holds, and exits 1 if there is any; it compares bit for bit.  It then
@@ -44,8 +52,12 @@ entries that hold numbers on both sides.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import os
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 
@@ -58,6 +70,24 @@ PATTERN_PAIRS = (("patch_front", "patch_rear"), ("isotropic", "cardioid"))
 # grid scenario fields: a one-element array, which is still a grid, and two others
 GRIDS = {"d_x": np.array([30.0]), "d_y": np.array([-4.0, 4.0]),
          "delta_v": np.array([[0.0], [11.0]])}
+# each subcommand at its defaults, the README examples, a sweep past the
+# pathloss validity horizon, then requests that exit 2 and ones that exit 1
+CLI_REQUESTS = (
+    ("loss-curve",), ("a-omega-range",), ("speed-sweep",), ("pl-losses",), ("design-rule",),
+    ("validate",),
+    ("design-rule", "--K", "10", "--T", "0.1"), ("loss-curve", "--K", "10", "--out", "loss.csv"),
+    ("a-omega-range", "--dx-min", "10", "--dx-max", "120", "--spacing", "0.508"),
+    ("speed-sweep", "--mode", "omega", "--dx", "30", "--dy-set", "-4", "0", "4",
+     "--slopes", "1,star"),
+    ("speed-sweep", "--mode", "combined", "--pattern0", "patch_front", "--pattern1",
+     "patch_rear"),
+    ("pl-losses", "--dx", "30", "--dv", "60"), ("validate", "--seed", "42"),
+    ("speed-sweep", "--mode", "pl", "--dx", "170"),
+    ("no-such-command",), ("loss-curve", "--step", "0"), ("speed-sweep", "--slopes", "junk"),
+    ("speed-sweep", "--dy-set"), ("a-omega-range", "--dx-min", "50", "--dx-max", "10"),
+    ("speed-sweep", "--dx", "nan"), ("speed-sweep", "--mode", "phi", "--pattern0", "missing.csv"),
+    ("pl-losses", "--pathloss-config", "missing.json"),
+)
 
 
 def _value(pc, fn, *args, **kwargs) -> str:
@@ -283,8 +313,52 @@ def _scans(pc):
         yield f"validate\t{res.name}", f"{res.passed} {res.detail}"
 
 
+def _cli_run(cli, argv, with_env: bool) -> list[tuple[str, str]]:
+    """One cli.main run in fresh temporary directories: (field, value) pairs."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as cwd, tempfile.TemporaryDirectory() as env:
+        os.chdir(cwd)
+        if with_env:
+            os.environ[cli.ENV_OUT_DIR] = env
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli.main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+        except Exception as exc:  # a traceback, which no request should reach
+            status = type(exc).__name__
+        finally:
+            os.environ.pop(cli.ENV_OUT_DIR, None)
+            os.chdir(home)
+
+        def clean(text: str) -> str:
+            return text.replace(env, "<env>").replace(cwd, "<cwd>")
+
+        fields = [("status", repr(status)), ("stdout", repr(clean(out.getvalue()))),
+                  ("stderr", repr(clean(err.getvalue())))]
+        for label, folder in (("cwd", cwd), ("env", env)):
+            for name in sorted(os.listdir(folder)):
+                with open(os.path.join(folder, name), "rb") as fh:
+                    fields.append((f"{label}/{name}", repr(fh.read())))
+    return fields
+
+
+def _cli(cli):
+    saved = os.environ.pop(cli.ENV_OUT_DIR, None)
+    try:
+        for argv in CLI_REQUESTS:
+            for run, with_env in (("1", False), ("2", False), ("env", True)):
+                for field, value in _cli_run(cli, argv, with_env):
+                    yield f"cli\t{' '.join(argv)}\t{run}\t{field}", value
+    finally:
+        if saved is not None:
+            os.environ[cli.ENV_OUT_DIR] = saved
+
+
 def dump(out: str) -> None:
     import phasecomb as pc
+    import phasecomb.cli
     warnings.simplefilter("ignore")  # the pathloss validity warning is in the metadata
     model = pc.PathlossModel()
     pairs = {f"{a}+{b}": (pc.builtin_pattern(a), pc.builtin_pattern(b))
@@ -293,7 +367,7 @@ def dump(out: str) -> None:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in (*_single_calls(pc, model, pairs), *_cache_calls(pc, model, pairs),
                            *_sweeps(pc, model, pairs),
-                           *_requests(pc, model, pairs), *_scans(pc)):
+                           *_requests(pc, model, pairs), *_scans(pc), *_cli(pc.cli)):
             fh.write(f"{key}\t{value}\n")
 
 
@@ -306,8 +380,11 @@ def _group(key: str) -> str:
     """The call group of a key: a single call and its path, a kept-AOA call's
     mode and pair variant, a sweep's mode
     and series kind (a path, the reference, the metadata or the outcome of a
-    failed sweep), a request's driver, a scan case or the validation battery."""
+    failed sweep), a request's driver, a scan case, the validation battery or
+    a CLI subcommand."""
     fields = key.split("\t")
+    if fields[0] == "cli":
+        return f"cli {fields[1].split()[0]}"
     if fields[0] == "cache":
         return f"cache {fields[1]} {fields[2]}"
     if fields[0] == "scan":
