@@ -358,7 +358,7 @@ def _cli(cli):
 
 def dump(out: str) -> None:
     import phasecomb as pc
-    import phasecomb.cli
+    from phasecomb import cli
     warnings.simplefilter("ignore")  # the pathloss validity warning is in the metadata
     model = pc.PathlossModel()
     pairs = {f"{a}+{b}": (pc.builtin_pattern(a), pc.builtin_pattern(b))
@@ -367,7 +367,7 @@ def dump(out: str) -> None:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in (*_single_calls(pc, model, pairs), *_cache_calls(pc, model, pairs),
                            *_sweeps(pc, model, pairs),
-                           *_requests(pc, model, pairs), *_scans(pc), *_cli(pc.cli)):
+                           *_requests(pc, model, pairs), *_scans(pc), *_cli(cli)):
             fh.write(f"{key}\t{value}\n")
 
 
