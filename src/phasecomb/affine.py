@@ -29,6 +29,14 @@ class AffineModel:
     def __call__(self, t):
         return self.intercept + self.slope * np.asarray(t, dtype=float)
 
+    def _positive(self, t):
+        """The values at times t, checked as require_positive does."""
+        values = self(t)
+        if not (values > 0.0).all():
+            raise PositivityViolation(
+                f"affine weight model dips to {float(values.min()):.3e} inside the burst")
+        return values
+
 
 def _default_t0(scen: geometry.ScenarioParams, t0: float | None) -> float:
     # Mid-burst expansion balances the residual over the packet times.
@@ -55,12 +63,18 @@ def taylor_pathgain(model: pathloss.PathlossModel, scen: geometry.ScenarioParams
     for the whole burst (the linearization cannot cross the clamp), and the
     resulting per-packet weights to stay positive.
     """
-    t0 = _default_t0(scen, t0)
+    fitted = _taylor_pathgain(model, scen, _default_t0(scen, t0))
+    require_positive(fitted, scen.packet_times())
+    return fitted
+
+
+def _taylor_pathgain(model, scen, t0: float) -> AffineModel:
+    """taylor_pathgain at a resolved t0, before the positivity check."""
     # Minimum distance over the burst: at the smaller |along-track coordinate|
     # of the endpoints, or at the closest approach if it changes sign between.
     u_end = scen.d_x + scen.delta_v * scen.burst_window
     u_min = np.where(scen.d_x * u_end <= 0.0, 0.0, np.minimum(abs(scen.d_x), abs(u_end)))
-    d_min = np.min(np.hypot(u_min, scen.d_y))
+    d_min = np.hypot(u_min, scen.d_y).min()
     if d_min <= model.d_ref:
         raise ValidityViolation(
             f"distance {d_min:.3f} m reaches the reference distance "
@@ -70,9 +84,7 @@ def taylor_pathgain(model: pathloss.PathlossModel, scen: geometry.ScenarioParams
     scale = model.shadowing_mean * model.ref_gain * model.d_ref ** model.exponent
     slope = -scale * model.exponent * scen.delta_v * u / d_t0 ** (model.exponent + 2.0)
     intercept = pathloss.mean_path_gain(model, d_t0) - slope * t0
-    fitted = AffineModel(slope=slope, intercept=intercept)
-    require_positive(fitted, scen.packet_times())
-    return fitted
+    return AffineModel(slope=slope, intercept=intercept)
 
 
 def least_squares_fit(times, values) -> AffineModel:
@@ -85,9 +97,10 @@ def least_squares_fit(times, values) -> AffineModel:
         raise DegenerateSamples("need at least two samples of matching shape")
     if t.min() == t.max():
         raise DegenerateSamples("sample times are all identical")
-    tm = t.mean()
+    # sum / size is the float mean() gives, without its Python-level wrapper
+    tm = t.sum() / t.size
     dt = t.reshape((-1,) + (1,) * (v.ndim - 1)) - tm
-    vm = v.mean(axis=0)
+    vm = v.sum(axis=0) / t.size
     slope = (dt * (v - vm)).sum(axis=0) / (dt * dt).sum()
     return AffineModel(slope=slope, intercept=vm - slope * tm)
 
@@ -95,11 +108,7 @@ def least_squares_fit(times, values) -> AffineModel:
 def require_positive(model: AffineModel, times) -> None:
     """Raise PositivityViolation unless the model stays strictly positive at
     the given times: the closed forms assume positive per-packet weights."""
-    values = model(np.asarray(times, dtype=float))
-    if not np.all(values > 0.0):
-        raise PositivityViolation(
-            f"affine weight model dips to {float(values.min()):.3e} "
-            "inside the burst")
+    model._positive(times)
 
 
 def fit_antenna_phase_diff(responses) -> AffineModel:

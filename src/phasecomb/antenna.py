@@ -94,9 +94,7 @@ class AntennaPattern:
         p = np.mod(np.asarray(phi, dtype=float) - az[0], TWO_PI) + az[0]
         m = np.interp(p, az, mag)
         f = np.interp(p, az, ph)
-        if np.ndim(phi) == 0:
-            return float(m), float(f)
-        return m, f
+        return (float(m), float(f)) if p.ndim == 0 else (m, f)
 
 
 def combined_mean_gain(pattern0: AntennaPattern, pattern1: AntennaPattern, phi):

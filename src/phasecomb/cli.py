@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=float, default=0.0)
     p.add_argument("--step", type=_positive_float, default=1e-3,
                    help="x grid step in radians")
-    p.set_defaults(func=_cmd_loss_curve)
+    p.set_defaults(func=_cmd_loss_curve, parser=p)
 
     p = sub.add_parser("a-omega-range",
                        help="phase-difference drift range versus distance")
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dv-step", type=_positive_float, default=1.0)
     p.add_argument("--dy-set", type=float, nargs="+", default=(-4.0, 4.0),
                    help="lateral offsets to cover [m]")
-    p.set_defaults(func=_cmd_a_omega_range)
+    p.set_defaults(func=_cmd_a_omega_range, parser=p)
 
     p = sub.add_parser("speed-sweep",
                        help="worst-case sum-SNR versus relative speed")
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern1", default="patch_rear")
     p.add_argument("--pathloss-config", default=None,
                    help="JSON file overriding the pathloss model")
-    p.set_defaults(func=_cmd_speed_sweep)
+    p.set_defaults(func=_cmd_speed_sweep, parser=p)
 
     p = sub.add_parser("pl-losses",
                        help="per-slope sum-SNR floors under path gain drift")
@@ -260,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dy", type=float, default=0.0)
     p.add_argument("--dv", type=float, default=-60.0, help="relative speed [km/h]")
     p.add_argument("--pathloss-config", default=None)
-    p.set_defaults(func=_cmd_pl_losses)
+    p.set_defaults(func=_cmd_pl_losses, parser=p)
 
     p = sub.add_parser("design-rule", help="print the robust slope choice")
     add_common(p)
-    p.set_defaults(func=_cmd_design_rule)
+    p.set_defaults(func=_cmd_design_rule, parser=p)
 
     p = sub.add_parser("validate", help="run the invariant self-checks")
     p.add_argument("--seed", type=_int_at_least(0, "seed"), default=42)
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, parser=p)
 
     return parser
 
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             return args.func(args)
     except (argparse.ArgumentTypeError, InvalidRequest) as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))  # the subcommand's usage, as argparse's own errors show
     except (PhasecombError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -182,14 +182,14 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     slope_grid = np.array([float(v) for v in slopes.values()])[:, None, None]
     if not np.all(np.isfinite(slope_grid)):
         raise ValueError("slopes must be finite")
-    # each grid of speed rows is sampled once for every slope into
-    # (packet, slope, row, offset) arrays
+    # each block's grid is sampled once for every slope; its leading axis of
+    # length 1 takes the slopes, into (packet, slope, row, offset) arrays
     blocks, max_distance = [], 0.0
     for block in _blocks(speeds, base.n_packets * slope_grid.size * dy.size):
         try:
-            grid = replace(base, d_y=dy[None, :], delta_v=block[:, None])
+            grid = replace(base, d_y=dy[None, None, :], delta_v=block[None, :, None])
             terms = snr._terms(grid, mode, built, model, patterns, "taylor", t0)
-            worst = {path: snr._worst(grid, terms[path], slope_grid) for path in paths}
+            worst = {path: snr._worst(terms[path], slope_grid) for path in paths}
         except (PhasecombError, ValueError):
             # raise the first failing scenario's error, not the grid's first failing check
             for v in block:
@@ -199,14 +199,14 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
                         snr._terms(scen, mode, (path,), model, patterns, "taylor", t0)
             raise
         gain, norm = terms["exact"][:2]  # gain / norm is a float in omega mode
-        worst["reference"] = np.broadcast_to(gain / norm, (block.size, dy.size))
+        worst["reference"] = np.broadcast_to(gain / norm, (1, block.size, dy.size))
         blocks.append({key: value.min(axis=-1) for key, value in worst.items()})
         ends = grid.packet_times()[[0, -1]]
         max_distance = max(max_distance, np.max(geometry.transmitter_distance(grid, ends)))
     db = {key: _to_db(np.concatenate([b[key] for b in blocks], axis=-1)) for key in blocks[0]}
     series = {f"{label}_{path}_db": db[path][i]
               for i, label in enumerate(slopes) for path in paths}
-    series["reference_db"] = db["reference"]
+    series["reference_db"] = db["reference"][0]
 
     metadata: dict[str, object] = {
         "mode": mode, "d_x_m": base.d_x, "d_y_values_m": dy.tolist(),

@@ -98,7 +98,7 @@ def transmitter_distance(scen: ScenarioParams, t):
     """Distance from the array center to the transmitter at time t."""
     u = scen.d_x + scen.delta_v * np.asarray(t, dtype=float)
     d = np.hypot(u, scen.d_y)
-    return float(d) if np.ndim(d) == 0 else d
+    return float(d) if d.ndim == 0 else d
 
 
 def propagation_distances(scen: ScenarioParams, t):
@@ -107,11 +107,9 @@ def propagation_distances(scen: ScenarioParams, t):
     half = 0.5 * scen.delta_a
     d0 = np.hypot(u, scen.d_y + half)
     d1 = np.hypot(u, scen.d_y - half)
-    if np.any(d0 == 0.0) or np.any(d1 == 0.0):
+    if (d0 == 0.0).any() or (d1 == 0.0).any():
         raise DegenerateGeometry("transmitter coincides with a receive antenna")
-    if np.ndim(d0) == 0:
-        return float(d0), float(d1)
-    return d0, d1
+    return (float(d0), float(d1)) if d0.ndim == 0 else (d0, d1)
 
 
 def _omega_slope(scen: ScenarioParams, t):
@@ -139,7 +137,7 @@ def aoa_exact(scen: ScenarioParams, t):
     Zero azimuth points along +x (the direction of relative motion).
     """
     u = scen.d_x + scen.delta_v * np.asarray(t, dtype=float)
-    if np.any((u == 0.0) & (scen.d_y == 0.0)):
+    if ((u == 0.0) & (scen.d_y == 0.0)).any():
         raise DegenerateGeometry("transmitter crosses the array center")
     phi = np.mod(np.arctan2(scen.d_y, u), TWO_PI)
-    return float(phi) if np.ndim(phi) == 0 else phi
+    return float(phi) if phi.ndim == 0 else phi

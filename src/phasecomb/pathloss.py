@@ -50,11 +50,11 @@ class PathlossModel:
 def mean_path_gain(model: PathlossModel, distance):
     """Mean path gain at the given distance(s), clamped below d_ref."""
     d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0.0):
+    if (d <= 0.0).any():
         raise NonPositiveDistance("path gain requires a positive distance")
     eff = np.maximum(d, model.d_ref)
     g = model.shadowing_mean * model.ref_gain * (model.d_ref / eff) ** model.exponent
-    return float(g) if np.ndim(distance) == 0 else g
+    return float(g) if d.ndim == 0 else g
 
 
 # JSON config keys for a PathlossModel; a0_log10 is log10 of ref_gain.

@@ -56,15 +56,15 @@ DESIGN_SNR_SCALE = 10.0 ** 11.8
 
 def in_severe_set(x: float) -> bool:
     """True when x is within tolerance of a multiple of pi."""
+    if not math.isfinite(x):
+        raise NonFiniteX(f"x={x!r} is not finite")
     return abs(math.sin(x)) < X_TOL
 
 
 def in_zero_loss_set(x: float, n_packets: int) -> bool:
     """True when x is within tolerance of q * pi / n_packets but not of q * pi."""
     geometry._check_burst(n_packets)
-    if in_severe_set(x):
-        return False
-    return abs(math.sin(n_packets * x)) < n_packets * X_TOL
+    return not in_severe_set(x) and abs(math.sin(n_packets * x)) < n_packets * X_TOL
 
 
 def _f2_series(e, n: int):
@@ -262,11 +262,9 @@ def min_cross_term(weights, phases):
     and S = sum w sin(theta), so its minimum is -hypot(C, S).  Packets run
     along the first axis; further axes hold independent bursts, whose minima
     come back as an array."""
-    c = np.sum(weights * np.cos(phases), axis=0)
-    s = np.sum(weights * np.sin(phases), axis=0)
-    if isinstance(c, np.ndarray):
-        return -np.hypot(c, s)
-    return -math.hypot(c, s)
+    c = (weights * np.cos(phases)).sum(axis=0)
+    s = (weights * np.sin(phases)).sum(axis=0)
+    return -np.hypot(c, s) if isinstance(c, np.ndarray) else -math.hypot(c, s)
 
 
 def optimal_slope_set(n_packets: int, t_interval: float) -> np.ndarray:
@@ -299,27 +297,28 @@ def check_optimality(slopes: Sequence[float], n_packets: int,
     s = np.asarray(slopes, dtype=float)
     if s.size < 2:
         raise ValueError("need at least two branch slopes")
-    return all(in_zero_loss_set(0.5 * (b - a) * t_interval, n_packets)
-               for i, a in enumerate(s) for b in s[i + 1:])
+    # a list, not a generator: every pair is tested, so any non-finite x raises
+    return all([in_zero_loss_set(0.5 * (b - a) * t_interval, n_packets)
+                for i, a in enumerate(s) for b in s[i + 1:]])
 
 
 # ---------------------------------------------------------------------------
 # Mode evaluators: worst-case sum-SNR with channel quantities drifting.  Each
 # mode drifts the factors _FACTORS marks (phase difference, path gain,
 # antenna responses); weights multiply the gain factors, phases add up.
-# _terms samples a scenario (or a grid of them) once for every slope into
-# (gain, norm, weights, phases) per packet: the exact path the true factors,
-# the affine path each factor's fit at the packet times.  On both paths the
-# value at a slope is (gain + min of the cross term over the offset) / norm.
+# Per call, _terms builds the packet times once and samples and fits each
+# factor once for every slope: (gain, norm, weights, phases) per packet, the
+# exact path's true factors or the affine path's fits at the packet times.
+# On both paths a slope's value is (gain + min of the cross term) / norm.
 # ---------------------------------------------------------------------------
 _FACTORS = {"omega": (True, False, False), "pl": (True, True, False),
             "phi": (False, False, True), "combined": (True, True, True)}
 
 
 def _terms(scen, mode, paths, model, patterns, fit, t0):
-    """{path: (gain, norm, weights, phases)} for each path in paths from one
-    sampling of the mode's factors.  The affine path fits each factor, the
-    phase difference first, and samples the fits at the packet times."""
+    """{path: (gain, norm, weights, phases, packet times)} for each path in
+    paths.  The affine path fits each factor once, the phase difference
+    first, and evaluates each fit once, in its positivity check if it has one."""
     if fit not in ("taylor", "least_squares"):
         raise ValueError(f"unknown fit method {fit!r}")
     t0 = affine._default_t0(scen, t0)
@@ -348,29 +347,24 @@ def _terms(scen, mode, paths, model, patterns, fit, t0):
             phase = geometry.omega_exact(scen, tk) if exact else geometry._omega_slope(scen, t0) * tk
         if has_pl and exact:
             w = pl
-        elif has_pl and fit == "taylor":
-            w = affine.taylor_pathgain(model, scen, t0)(tk)
         elif has_pl:
-            fitted = affine.least_squares_fit(tk, pl)
-            affine.require_positive(fitted, tk)
-            w = fitted(tk)
-        gain = np.sum(w * half_gain if has_resp else w, axis=0) if has_pl or has_resp else n
+            fitted = (affine._taylor_pathgain(model, scen, t0) if fit == "taylor"
+                      else affine.least_squares_fit(tk, pl))
+            w = fitted._positive(tk)
+        gain = (w * half_gain if has_resp else w).sum(axis=0) if has_pl or has_resp else n
         if has_resp:
-            w = w * resp.mag0 * resp.mag1 if exact else w * affine.fit_antenna_gain_product(resp)(tk)
+            w = (w * resp.mag0 * resp.mag1 if exact
+                 else w * affine.least_squares_fit(tk, resp.mag0 * resp.mag1)._positive(tk))
             phase = phase + (resp.phase0 - resp.phase1 if exact
                              else affine.fit_antenna_phase_diff(resp)(tk))
-        terms[path] = gain, norm, w, phase
+        terms[path] = gain, norm, w, phase, tk
     return terms
 
 
-def _worst(scen, terms, slope):
-    """Worst-case sum-SNR from a builder's terms at one slope, or over an
-    array of slopes shaped to broadcast in front of a grid's shape."""
-    gain, norm, w, phase = terms
-    tk = scen.packet_times()
-    if isinstance(slope, np.ndarray):
-        # packets stay on the first axis, the slopes go after them
-        w, phase, tk = (np.expand_dims(a, 1) if np.ndim(a) else a for a in (w, phase, tk))
+def _worst(terms, slope):
+    """Worst-case sum-SNR from _terms' terms at one slope, or over an array
+    of slopes that broadcasts against the grid behind the packet axis."""
+    gain, norm, w, phase, tk = terms
     return (gain + min_cross_term(w, phase - slope * tk)) / norm
 
 
@@ -379,7 +373,7 @@ def _sum_snr(slope, scen, mode, use_exact, model=None, patterns=None, fit="taylo
     if not math.isfinite(slope):
         raise ValueError(f"slope {slope!r} is not finite")
     path = "exact" if use_exact else "affine"
-    return float(_worst(scen, _terms(scen, mode, (path,), model, patterns, fit, t0)[path], slope))
+    return float(_worst(_terms(scen, mode, (path,), model, patterns, fit, t0)[path], slope))
 
 
 def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,

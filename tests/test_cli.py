@@ -236,7 +236,11 @@ def test_nonpositive_steps_exit_two_with_usage(argv, message, tmp_path, capsys):
         run_cli(argv + ([] if no_out else ["--out", str(out)]))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "usage:" in err and message in err
+    # the subcommand's usage, also for requests the library rejects; only
+    # arguments no subcommand takes are the root parser's to report
+    prog = "phasecomb" if message == "unrecognized arguments" else f"phasecomb {argv[0]}"
+    assert err.startswith(f"usage: {prog} [-h]") and f"\n{prog}: error: " in err
+    assert message in err
     assert not out.exists()
 
 

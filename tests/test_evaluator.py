@@ -471,3 +471,130 @@ def test_phi_mode_rejects_a_pair_with_zero_gain_at_the_worst_case_aoa(tmp_path):
     # combined mode normalises by a fixed scale and still evaluates both pairs
     assert sum_snr_combined(unit, scen, MODEL, *zero_pair) == 0.0
     assert 0.0 < sum_snr_combined(unit, scen, MODEL, *null_pair) < math.inf
+
+
+# ---------------------------------------------------------------------------
+# bits kept
+# ---------------------------------------------------------------------------
+
+# The single-call path is tuned for speed, never for different values: these
+# are float.hex of the values before that work, in dB for the sweeps.  Each
+# call is made at q = 1 and 2.61 comb units; each sweep at speeds -40, -10,
+# 20 and 50 km/h over the offsets -4 and 1.5 m, on both paths.
+PINNED_SCENARIOS = {
+    "near": scen_at(),
+    "behind": scen_at(d_x=-75.0, d_y=2.5, dv_kmh=-55.0, n_packets=12, t_interval=0.05),
+    "far": scen_at(d_x=110.0, d_y=0.5, dv_kmh=20.0, n_packets=8, t_interval=0.2),
+}
+PINNED_CALLS = {
+    ("near", "omega", "exact", "taylor"): "0x1.9080f649540fep-1 0x1.fa91ad38be7f2p-1",
+    ("near", "omega", "affine", "taylor"): "0x1.9094f42d5f20ap-1 0x1.f92862bf0c3dap-1",
+    ("near", "pl", "exact", "taylor"): "0x1.213bb8cb853e7p-1 0x1.65dfcef033608p-1",
+    ("near", "pl", "affine", "taylor"): "0x1.1b722976949e1p-1 0x1.59e9cadb05e92p-1",
+    ("near", "pl", "affine", "least_squares"): "0x1.242991c5164b9p-1 0x1.6480e54302393p-1",
+    ("near", "phi", "exact", "taylor"): "0x1.e9287ddb936f8p-1 0x1.baf74fa5e44b9p-1",
+    ("near", "phi", "affine", "taylor"): "0x1.e92a32a6e8ed7p-1 0x1.bb07f936928fdp-1",
+    ("near", "combined", "exact", "taylor"): "0x1.1be45f86c7db3p+16 0x1.593f5d2809e1bp+16",
+    ("near", "combined", "affine", "taylor"): "0x1.1691e4b52ca6cp+16 0x1.4db87d6eb1515p+16",
+    ("behind", "omega", "exact", "taylor"): "0x1.ec696598fe618p-1 0x1.bd6aec11bfe0dp-1",
+    ("behind", "omega", "affine", "taylor"): "0x1.ec73b3b0e31bfp-1 0x1.bd6e58fc5285fp-1",
+    ("behind", "pl", "exact", "taylor"): "0x1.abb1b99aff227p-1 0x1.8abfe3c26007fp-1",
+    ("behind", "pl", "affine", "taylor"): "0x1.a9b7e00b39b80p-1 0x1.8995ae2e43958p-1",
+    ("behind", "pl", "affine", "least_squares"): "0x1.ab76f5a8990adp-1 0x1.8b34cafaae7a7p-1",
+    ("behind", "phi", "exact", "taylor"): "0x1.fdc4d80887592p-1 0x1.c008daa8a2857p-1",
+    ("behind", "phi", "affine", "taylor"): "0x1.fdc4ec50d4b29p-1 0x1.c0091391897d6p-1",
+    ("behind", "combined", "exact", "taylor"): "0x1.f9f42024ef44bp+13 0x1.d452a69791608p+13",
+    ("behind", "combined", "affine", "taylor"): "0x1.f79a1aab83c6ep+13 0x1.d2f2b4786e078p+13",
+    ("far", "omega", "exact", "taylor"): "0x1.fe313adaeeae5p-1 0x1.b937d44346a28p-1",
+    ("far", "omega", "affine", "taylor"): "0x1.fe31a57d1c58bp-1 0x1.b937fd6117438p-1",
+    ("far", "pl", "exact", "taylor"): "0x1.cc2a2970923f3p-1 0x1.983fe88325336p-1",
+    ("far", "pl", "affine", "taylor"): "0x1.cb4ab041759dfp-1 0x1.97b66fb92e908p-1",
+    ("far", "pl", "affine", "least_squares"): "0x1.cc246bee4ecc6p-1 0x1.9878517c7f0ecp-1",
+    ("far", "phi", "exact", "taylor"): "0x1.ffc9db13c8416p-1 0x1.b995f4b2718fcp-1",
+    ("far", "phi", "affine", "taylor"): "0x1.ffc9db239beaap-1 0x1.b995f1b1ce892p-1",
+    ("far", "combined", "exact", "taylor"): "0x1.31bd92a3318d6p+12 0x1.0f40c1f452ea7p+12",
+    ("far", "combined", "affine", "taylor"): "0x1.31299243c5fcap+12 0x1.0ee55e2106b55p+12",
+}
+PINNED_SWEEPS = {
+    ("omega", "q1_exact_db"):
+        "-0x1.0bff08c6b214fp+3 -0x1.645c377cd4d24p-1 "
+        "-0x1.8c46a17ea8fe5p-1 -0x1.1895beb2e83d2p+0",
+    ("omega", "q1_affine_db"):
+        "-0x1.03976f789d680p+3 -0x1.63d0272945ae2p-1 "
+        "-0x1.8b32c9cf7be1ep-1 -0x1.1a62fef722a94p+0",
+    ("omega", "q5_exact_db"):
+        "-0x1.76d7c7ab0d7bcp-2 -0x1.6b1a3284c6010p-3 "
+        "-0x1.1676d26338a45p-2 -0x1.ce570ec9998dep-2",
+    ("omega", "q5_affine_db"):
+        "-0x1.8e1cafdc55ea4p-2 -0x1.6a5b4b9b3efe7p-3 "
+        "-0x1.14c56cd0806a0p-2 -0x1.c734590df9804p-2",
+    ("omega", "reference_db"):
+        "0x0.0p+0 0x0.0p+0 "
+        "0x0.0p+0 0x0.0p+0",
+    ("pl", "q1_exact_db"):
+        "-0x1.c6de6439e7e06p+2 -0x1.33ba6b6cb1086p-2 "
+        "-0x1.8b1bfecb0109fp+0 -0x1.7760d4102ca72p+1",
+    ("pl", "q1_affine_db"):
+        "-0x1.ae06424837593p+2 -0x1.40cd22de1aa03p-2 "
+        "-0x1.90de248c84318p+0 -0x1.905a5852e8b8dp+1",
+    ("pl", "q5_exact_db"):
+        "0x1.9032bcd58c861p+0 0x1.ebbe6859ef282p-3 "
+        "-0x1.0632c14f805d8p+0 -0x1.125bda105a50cp+1",
+    ("pl", "q5_affine_db"):
+        "0x1.5a01fab830dbdp+0 0x1.d615e2c234defp-3 "
+        "-0x1.0e37eb9cd4068p+0 -0x1.24abec54a49dep+1",
+    ("pl", "reference_db"):
+        "0x1.01a2ffe544731p+1 0x1.b1fd449062793p-2 "
+        "-0x1.7f38770aac833p-1 -0x1.a9eef6720897dp+0",
+    ("phi", "q1_exact_db"):
+        "-0x1.5fa160cdb42fbp-2 -0x1.1574e0900bb4ep-4 "
+        "-0x1.c8399fcb11fe0p-4 -0x1.e04cc0a7bf531p-3",
+    ("phi", "q1_affine_db"):
+        "-0x1.5fc21b30641fdp-2 -0x1.159663c67b381p-4 "
+        "-0x1.c7ee75b5efccep-4 -0x1.e00d5f30c1465p-3",
+    ("phi", "q5_exact_db"):
+        "-0x1.b84c9cfdf2ce3p-4 -0x1.54837ab08c48ep-6 "
+        "-0x1.0ad6ec372cdb8p-5 -0x1.0b4402ba37fe4p-4",
+    ("phi", "q5_affine_db"):
+        "-0x1.afbe6a073f282p-4 -0x1.5438a6483e45ap-6 "
+        "-0x1.0a1a6fcc4de4fp-5 -0x1.074d2720eaba0p-4",
+    ("phi", "reference_db"):
+        "0x1.8e6a0dcadb49fp-10 0x1.5f976d22798fbp-13 "
+        "0x1.44c950006f7cbp-12 0x1.b9543db8cd60ep-11",
+    ("combined", "q1_exact_db"):
+        "0x1.7068700c7b875p+5 0x1.96bf017f844eep+5 "
+        "0x1.8c996c0d0fdf4p+5 0x1.822201bef7278p+5",
+    ("combined", "q1_affine_db"):
+        "0x1.72734038d3fb8p+5 0x1.96a49b49daff6p+5 "
+        "0x1.8c6afe16701d4p+5 0x1.80da360013c17p+5",
+    ("combined", "q5_exact_db"):
+        "0x1.a499a1c5e162fp+5 0x1.9a7a6947e954fp+5 "
+        "0x1.906edc087c22ap+5 0x1.87768fd0f0216p+5",
+    ("combined", "q5_affine_db"):
+        "0x1.a2ffb2f9beb16p+5 0x1.9a6479f094425p+5 "
+        "0x1.902d7d8fd5026p+5 0x1.864ef865765d7p+5",
+    ("combined", "reference_db"):
+        "0x1.a898145eeedbcp+5 0x1.9bca2055d60fcp+5 "
+        "0x1.927e43de2ea29p+5 0x1.8b42f640f9046p+5",
+}
+
+
+def test_single_calls_keep_their_bits():
+    for (name, mode, path, fit), want in PINNED_CALLS.items():
+        scen = PINNED_SCENARIOS[name]
+        unit = TWO_PI / (scen.n_packets * scen.t_interval)
+        exact = path == "exact"
+        got = [sum_snr_pl(q * unit, scen, MODEL, use_exact=exact, fit=fit) if mode == "pl"
+               else public_call(mode, q * unit, scen, exact) for q in (1.0, 2.61)]
+        assert " ".join(v.hex() for v in got) == want, (name, mode, path, fit)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sweeps_keep_their_bits(mode):
+    res = speed_sweep(mode, {"q1": TWO_PI, "q5": 5.0 * TWO_PI}, [-40.0, -10.0, 20.0, 50.0],
+                      scen_at(dv_kmh=0.0), model=MODEL, patterns=PATTERNS,
+                      d_y_values=(-4.0, 1.5))
+    pinned = {series: want for (m, series), want in PINNED_SWEEPS.items() if m == mode}
+    assert list(res.series) == list(pinned)
+    for series, want in pinned.items():
+        assert " ".join(float(v).hex() for v in res.series[series]) == want, series

@@ -89,7 +89,10 @@ def test_f1_f2_raise_on_severe_set():
 def test_kernels_reject_non_finite_x(bad):
     scalar_calls = (lambda x: f1(x, 5), lambda x: f2(x, 5), lambda x: loss(x, 1.0, 0.0, 5),
                     lambda x: loss_bounds(x, 5), lambda x: j_affine(x, 0.2, 1.0, 0.1, 5),
-                    lambda x: worst_case_y(x, 1.0, 0.1, 5))
+                    lambda x: worst_case_y(x, 1.0, 0.1, 5), in_severe_set,
+                    lambda x: in_zero_loss_set(x, 5),
+                    # the first pair fails, the later ones carry the bad x
+                    lambda x: check_optimality([0.0, 0.5, x / 0.05], 5, 0.1))
     for call in scalar_calls:
         for x in (bad, np.float64(bad)):
             with pytest.raises(NonFiniteX):

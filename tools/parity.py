@@ -33,6 +33,13 @@ raised.  The calls are
   burst; 200 zero-padded bursts shaped like the battery's scan check; 2,000
   bursts on a 5,000-point grid): every y and value; and the pass flag and
   detail string of each ``run_validation(42)`` check;
+* the public helpers the evaluators call or route around, on the same
+  scenarios: ``least_squares_fit`` on 1-D data and by column,
+  ``require_positive`` (``None`` or the error), ``taylor_omega``,
+  ``taylor_pathgain``, ``sample_responses`` at an offset and both antenna
+  fits on those responses, each model's slope and intercept or each
+  sampled array bit for bit; and the set tests ``in_severe_set``,
+  ``in_zero_loss_set`` and ``check_optimality`` at a NaN or infinite x;
 * ``cli.main`` on each subcommand at its defaults, the README examples and
   a few requests that exit 2 (usage) or 1 (runtime), each run three times
   in this process: twice with ``$PHASECOMB_OUT_DIR`` unset, then with it
@@ -53,6 +60,7 @@ entries that hold numbers on both sides.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -167,9 +175,12 @@ def _outcome(fn, *args, **kwargs) -> str:
         return f"ok {result.hex()}"
     if isinstance(result, np.ndarray):
         return "ok " + " ".join(float(v).hex() for v in result)
-    if not hasattr(result, "series"):
+    if hasattr(result, "series"):
+        columns = (result.values, *result.series.values())
+    elif dataclasses.is_dataclass(result):  # an affine model or sampled responses
+        columns = [np.ravel(getattr(result, f.name)) for f in dataclasses.fields(result)]
+    else:
         return f"ok {result!r}"
-    columns = (result.values, *result.series.values())
     return "ok " + " | ".join(" ".join(float(v).hex() for v in col) for col in columns)
 
 
@@ -294,6 +305,37 @@ def _sweeps(pc, model, pairs):
                         yield f"{key}\tmetadata", repr(res.metadata)
 
 
+def _helpers(pc, model, pairs):
+    rng = np.random.default_rng(SEED)
+    for n in (2, 3, 8, 16):
+        t, v = np.arange(n) * 0.1, rng.uniform(-2.0, 2.0, (n, 3, 2))
+        yield f"helper\tleast_squares_fit\t1-D n={n}", _outcome(pc.least_squares_fit, t, v[:, 0, 0])
+        yield f"helper\tleast_squares_fit\tcolumns n={n}", _outcome(
+            pc.least_squares_fit, t.reshape(-1, 1, 1), v)
+    for slope, intercept in ((0.1, 1.0), (-1.0, 0.5), (-1.0, 0.9), (-1.0, 0.95), (0.0, 0.0)):
+        yield f"helper\trequire_positive\t{slope!r},{intercept!r}", _outcome(
+            pc.affine.require_positive, pc.AffineModel(slope, intercept), np.arange(10) * 0.1)
+    for label, scen in _scenarios(pc):
+        yield f"helper\ttaylor_omega\t{label}", _outcome(pc.taylor_omega, scen)
+        yield f"helper\ttaylor_pathgain\t{label}", _outcome(pc.taylor_pathgain, model, scen)
+        for name, pair in pairs.items():
+            key = f"{label}\t{name}"
+            yield f"helper\tsample_responses\t{key}", _outcome(pc.sample_responses, *pair,
+                                                                scen, 1.25)
+            try:
+                resp = pc.sample_responses(*pair, scen, 1.25)
+            except pc.PhasecombError:
+                continue
+            for fit in (pc.fit_antenna_gain_product, pc.fit_antenna_phase_diff):
+                yield f"helper\t{fit.__name__}\t{key}", _outcome(fit, resp)
+    for x in (math.nan, math.inf, -math.inf):
+        yield f"helper\tin_severe_set\tx={x!r}", _outcome(pc.in_severe_set, x)
+        yield f"helper\tin_zero_loss_set\tx={x!r}", _outcome(pc.in_zero_loss_set, x, 5)
+        for slopes in ([0.0, x], [0.0, 0.5, x]):
+            yield f"helper\tcheck_optimality\tslopes={slopes!r}", _outcome(
+                pc.check_optimality, slopes, 5, 0.1)
+
+
 def _scans(pc):
     from phasecomb.validation import worst_case_y_scan
     rng = np.random.default_rng(SEED)
@@ -367,7 +409,8 @@ def dump(out: str) -> None:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in (*_single_calls(pc, model, pairs), *_cache_calls(pc, model, pairs),
                            *_sweeps(pc, model, pairs),
-                           *_requests(pc, model, pairs), *_scans(pc), *_cli(cli)):
+                           *_requests(pc, model, pairs), *_helpers(pc, model, pairs),
+                           *_scans(pc), *_cli(cli)):
             fh.write(f"{key}\t{value}\n")
 
 
@@ -380,8 +423,8 @@ def _group(key: str) -> str:
     """The call group of a key: a single call and its path, a kept-AOA call's
     mode and pair variant, a sweep's mode
     and series kind (a path, the reference, the metadata or the outcome of a
-    failed sweep), a request's driver, a scan case, the validation battery or
-    a CLI subcommand."""
+    failed sweep), a request's driver, a helper, a scan case, the validation
+    battery or a CLI subcommand."""
     fields = key.split("\t")
     if fields[0] == "cli":
         return f"cli {fields[1].split()[0]}"
@@ -394,8 +437,8 @@ def _group(key: str) -> str:
     if fields[0] == "sweep":
         series = fields[6] if len(fields) > 6 else "outcome"
         return f"sweep {fields[1]} {series.removesuffix('_db').rsplit('_', 1)[-1]}"
-    if fields[0] == "request":
-        return f"request {fields[1]}"
+    if fields[0] in ("request", "helper"):
+        return f"{fields[0]} {fields[1]}"
     return f"{fields[0]} {fields[2]}"
 
 
