@@ -8,12 +8,9 @@ the mean path gain and the angle of arrival drift over the burst, and it
 selects the slope that stays robust against that drift.
 """
 
-from .affine import (AffineModel, fit_antenna_gain_product,
-                     fit_antenna_phase_diff, least_squares_fit, taylor_omega,
-                     taylor_pathgain)
-from .antenna import (AntennaPattern, BurstResponses, builtin_pattern,
-                      combined_mean_gain, load_pattern_csv, sample_responses,
-                      worst_case_aoa)
+from .affine import AffineModel, least_squares_fit, taylor_omega, taylor_pathgain
+from .antenna import (AntennaPattern, builtin_pattern, combined_mean_gain,
+                      load_pattern_csv, worst_case_aoa)
 from .errors import (DegenerateGeometry, DegenerateSamples, DomainX,
                      EmptyPattern, InvalidRequest, MalformedRow, NonFiniteX,
                      NonMonotonicAzimuth, NonPositiveC1, NonPositiveDistance,

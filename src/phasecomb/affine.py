@@ -30,7 +30,9 @@ class AffineModel:
         return self.intercept + self.slope * np.asarray(t, dtype=float)
 
     def _positive(self, t):
-        """The values at times t, checked as require_positive does."""
+        """The values at times t; raises PositivityViolation unless every one
+        is strictly positive, since the closed forms assume positive
+        per-packet weights."""
         values = self(t)
         if not (values > 0.0).all():
             raise PositivityViolation(
@@ -64,7 +66,7 @@ def taylor_pathgain(model: pathloss.PathlossModel, scen: geometry.ScenarioParams
     resulting per-packet weights to stay positive.
     """
     fitted = _taylor_pathgain(model, scen, _default_t0(scen, t0))
-    require_positive(fitted, scen.packet_times())
+    fitted._positive(scen.packet_times())
     return fitted
 
 
@@ -95,35 +97,23 @@ def least_squares_fit(times, values) -> AffineModel:
     v = np.asarray(values, dtype=float)
     if t.size < 2 or v.shape[:1] != (t.size,):
         raise DegenerateSamples("need at least two samples of matching shape")
-    if t.min() == t.max():
-        raise DegenerateSamples("sample times are all identical")
+    if not -math.inf < t.min() < t.max() < math.inf:  # NaN fails every comparison
+        raise DegenerateSamples("sample times must be finite and not all identical")
     # sum / size is the float mean() gives, without its Python-level wrapper
     tm = t.sum() / t.size
     dt = t.reshape((-1,) + (1,) * (v.ndim - 1)) - tm
     vm = v.sum(axis=0) / t.size
+    # a NaN or infinite value leaves its column's mean non-finite
+    if not (np.isfinite(vm).all() if vm.ndim else math.isfinite(vm)):
+        raise DegenerateSamples("sample values must be finite")
     slope = (dt * (v - vm)).sum(axis=0) / (dt * dt).sum()
     return AffineModel(slope=slope, intercept=vm - slope * tm)
 
 
-def require_positive(model: AffineModel, times) -> None:
-    """Raise PositivityViolation unless the model stays strictly positive at
-    the given times: the closed forms assume positive per-packet weights."""
-    model._positive(times)
-
-
-def fit_antenna_phase_diff(responses) -> AffineModel:
+def _fit_phase_diff(times, phase0, phase1) -> AffineModel:
     """Affine fit of the branch phase difference along the sampled burst.
 
     The per-packet difference is unwrapped before fitting so a 2 pi seam in
     either branch's tabulated phase cannot masquerade as drift.
     """
-    diff = np.unwrap(np.asarray(responses.phase0) - np.asarray(responses.phase1), axis=0)
-    return least_squares_fit(responses.times, diff)
-
-
-def fit_antenna_gain_product(responses) -> AffineModel:
-    """Affine fit of |g0| * |g1| along the sampled burst, required positive."""
-    product = np.asarray(responses.mag0) * np.asarray(responses.mag1)
-    fitted = least_squares_fit(responses.times, product)
-    require_positive(fitted, responses.times)
-    return fitted
+    return least_squares_fit(times, np.unwrap(phase0 - phase1, axis=0))

@@ -144,31 +144,13 @@ def _find_worst_case_aoa(pattern0: AntennaPattern, pattern1: AntennaPattern) -> 
     return float(phi) if phi < TWO_PI else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class BurstResponses:
-    """Per-packet branch responses sampled along an AOA trajectory."""
-
-    times: np.ndarray
-    mag0: np.ndarray
-    phase0: np.ndarray
-    mag1: np.ndarray
-    phase1: np.ndarray
-
-
-def sample_responses(pattern0: AntennaPattern, pattern1: AntennaPattern,
-                     scen: geometry.ScenarioParams,
-                     phi0_offset: float = 0.0) -> BurstResponses:
-    """Evaluate both branch patterns at every packet time of the scenario.
-
-    phi0_offset rotates the whole AOA trajectory; passing
-    worst_case_aoa(...) - aoa_exact(scen, 0) starts the burst at the
-    worst-case angle.
-    """
-    tk = scen.packet_times()
-    phi = np.mod(geometry.aoa_exact(scen, tk) + phi0_offset, TWO_PI)
-    m0, p0 = pattern0.evaluate(phi)
-    m1, p1 = pattern1.evaluate(phi)
-    return BurstResponses(times=tk, mag0=m0, phase0=p0, mag1=m1, phase1=p1)
+def _sample_burst(pattern0: AntennaPattern, pattern1: AntennaPattern,
+                  scen: geometry.ScenarioParams, tk, phi0: float):
+    """(|g0|, phase0, |g1|, phase1) at the packet times tk along the AOA
+    trajectory, turned so that packet 0 arrives from azimuth phi0."""
+    aoa = geometry.aoa_exact(scen, tk)
+    phi = np.mod(aoa + (phi0 - aoa[0]), TWO_PI)
+    return (*pattern0.evaluate(phi), *pattern1.evaluate(phi))
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,8 @@ def a_omega_range(d_x_values, *, delta_a: float, wavelength: float,
 def threshold_distance(sweep: SweepResult, bound: float) -> float:
     """Smallest d_x in an a_omega_range sweep past which the absolute half
     slope-offset stays below the bound for every larger tabulated d_x."""
+    if math.isnan(bound):
+        raise ValueError("threshold bound is NaN")
     values = _values(sweep.values, "distance")
     absmax = sweep.series["half_slope_absmax_rad"]
     exceeding = np.nonzero(absmax >= bound)[0]

@@ -163,6 +163,8 @@ def c_ratio_squared(w: float, n_packets: int, t_interval: float) -> float:
     increasing above: faster weight drift in either direction costs more.
     """
     geometry._check_burst(n_packets, t_interval)
+    if not math.isfinite(w):
+        raise ValueError(f"w={w!r} is not finite")
     a_edge = 1.0 / ((n_packets - 1) * t_interval)
     if w <= -a_edge:
         raise NonPositiveC1(f"w={w!r} leaves the positive-weight region")
@@ -324,14 +326,14 @@ def _terms(scen, mode, paths, model, patterns, fit, t0):
     t0 = affine._default_t0(scen, t0)
     has_omega, has_pl, has_resp = _FACTORS[mode]
     n = scen.n_packets
+    tk = scen.packet_times()
     if has_resp:
         phi_min, aoa_gain = antenna._pair_invariants(*patterns)
         if aoa_gain is None and not has_pl:
             raise ZeroGain("both antenna patterns have zero gain at the worst-case AOA")
-        # shift the AOA trajectory so the first packet arrives from phi_min
-        resp = antenna.sample_responses(*patterns, scen, phi_min - geometry.aoa_exact(scen, 0.0))
-        half_gain = 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
-    tk = resp.times if has_resp else scen.packet_times()
+        # the first packet arrives from the pair's worst-case AOA
+        mag0, phase0, mag1, phase1 = antenna._sample_burst(*patterns, scen, tk, phi_min)
+        half_gain = 0.5 * (mag0 ** 2 + mag1 ** 2)
     norm = (1.0 / DESIGN_SNR_SCALE if has_pl and has_resp
             else n * pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, 0.0))
             if has_pl else n * aoa_gain if has_resp else n)
@@ -353,10 +355,10 @@ def _terms(scen, mode, paths, model, patterns, fit, t0):
             w = fitted._positive(tk)
         gain = (w * half_gain if has_resp else w).sum(axis=0) if has_pl or has_resp else n
         if has_resp:
-            w = (w * resp.mag0 * resp.mag1 if exact
-                 else w * affine.least_squares_fit(tk, resp.mag0 * resp.mag1)._positive(tk))
-            phase = phase + (resp.phase0 - resp.phase1 if exact
-                             else affine.fit_antenna_phase_diff(resp)(tk))
+            w = (w * mag0 * mag1 if exact
+                 else w * affine.least_squares_fit(tk, mag0 * mag1)._positive(tk))
+            phase = phase + (phase0 - phase1 if exact
+                             else affine._fit_phase_diff(tk, phase0, phase1)(tk))
         terms[path] = gain, norm, w, phase, tk
     return terms
 

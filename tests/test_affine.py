@@ -6,13 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from phasecomb import (AffineModel, BurstResponses, DegenerateSamples,
-                       PathlossModel, PositivityViolation, ScenarioParams,
-                       ValidityViolation, fit_antenna_gain_product,
-                       fit_antenna_phase_diff, least_squares_fit,
-                       mean_path_gain, omega_exact, taylor_omega,
-                       taylor_pathgain, transmitter_distance)
-from phasecomb.affine import require_positive
+from phasecomb import (AffineModel, DegenerateSamples, PathlossModel,
+                       PositivityViolation, ScenarioParams, ValidityViolation,
+                       least_squares_fit, mean_path_gain, omega_exact,
+                       taylor_omega, taylor_pathgain, transmitter_distance)
+from phasecomb.affine import _fit_phase_diff
 
 
 def make_scen(**kw):
@@ -133,37 +131,56 @@ def test_least_squares_degenerate_inputs():
         least_squares_fit([0.5, 0.5, 0.5], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("times, values", [
+    ([0.0, math.nan, 0.2], [1.0, 2.0, 3.0]),
+    ([0.0, math.inf, 0.2], [1.0, 2.0, 3.0]),
+    ([0.0, 0.1, -math.inf], [1.0, 2.0, 3.0]),
+    ([0.0, 0.1, 0.2], [1.0, math.nan, 3.0]),
+    ([0.0, 0.1, 0.2], [1.0, math.inf, 3.0]),
+    ([0.0, 0.1, 0.2], [-math.inf, 2.0, math.inf]),
+])
+def test_least_squares_rejects_non_finite_samples(times, values):
+    with pytest.raises(DegenerateSamples, match="finite"):
+        least_squares_fit(times, values)
+    # one bad column of a fit by column rejects the whole fit
+    columns = np.tile(np.arange(3.0)[:, None], (1, 4))
+    columns[:, 2] = values
+    with pytest.raises(DegenerateSamples, match="finite"):
+        least_squares_fit(np.asarray(times).reshape(-1, 1), columns)
+
+
 # ---------------------------------------------------------------------------
 # positivity guard
 # ---------------------------------------------------------------------------
 
-def test_require_positive_accepts_positive_model():
+def test_positive_check_accepts_positive_model():
     times = np.arange(10) * 0.1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert require_positive(AffineModel(0.1, 1.0), times) is None
+        values = AffineModel(0.1, 1.0)._positive(times)
+    np.testing.assert_array_equal(values, AffineModel(0.1, 1.0)(times))
 
 
-def test_require_positive_strict_raises():
+@pytest.mark.parametrize("slope, intercept", [(-1.0, 0.5), (-1.0, 0.9), (0.0, 0.0)])
+def test_positive_check_raises_on_a_dip(slope, intercept):
+    # the line dips below 0, to exactly 0 at the last packet, or stays at 0
     times = np.arange(10) * 0.1
     with pytest.raises(PositivityViolation):
-        require_positive(AffineModel(-1.0, 0.5), times)
+        AffineModel(slope, intercept)._positive(times)
+
+
+def test_taylor_pathgain_checks_positivity_at_the_packet_times():
+    # a transmitter receding fast from just past the reference distance:
+    # the tangent at mid-burst drops below 0 before the last packet
+    model = PathlossModel()
+    scen = make_scen(d_x=1.5 * model.d_ref, d_y=0.0, delta_v=60.0, t_interval=0.5)
+    with pytest.raises(PositivityViolation):
+        taylor_pathgain(model, scen, t0=0.0)
 
 
 # ---------------------------------------------------------------------------
-# fits through sampled branch responses
+# fit through sampled branch phases
 # ---------------------------------------------------------------------------
-
-def make_responses(phase0, phase1, mag0=None, mag1=None):
-    n = len(phase0)
-    times = np.arange(n) * 0.1
-    ones = np.ones(n)
-    return BurstResponses(times=times,
-                          mag0=ones if mag0 is None else np.asarray(mag0),
-                          phase0=np.asarray(phase0, dtype=float),
-                          mag1=ones if mag1 is None else np.asarray(mag1),
-                          phase1=np.asarray(phase1, dtype=float))
-
 
 def test_phase_diff_fit_sees_through_wrap_seam():
     # branch 0 phase is tabulated wrapped; the 2 pi jump must not leak
@@ -171,22 +188,5 @@ def test_phase_diff_fit_sees_through_wrap_seam():
     t = np.arange(10) * 0.1
     raw = 4.0 * t
     wrapped = np.mod(raw + math.pi, 2.0 * math.pi) - math.pi
-    model = fit_antenna_phase_diff(make_responses(wrapped, np.zeros(10)))
+    model = _fit_phase_diff(t, wrapped, np.zeros(10))
     assert model.slope == pytest.approx(4.0, abs=1e-9)
-
-
-def test_gain_product_fit_values():
-    mag0 = 1.0 + 0.1 * np.arange(10) * 0.1
-    mag1 = np.full(10, 2.0)
-    model = fit_antenna_gain_product(make_responses(np.zeros(10), np.zeros(10),
-                                                    mag0, mag1))
-    assert model.slope == pytest.approx(0.2, abs=1e-10)
-    assert model.intercept == pytest.approx(2.0, abs=1e-10)
-
-
-def test_gain_product_fit_strictness():
-    # sharply decaying product pulls the fitted line negative at the tail
-    mags = np.sqrt(np.array([5.0, 0.1, 0.1, 0.1]))
-    resp = make_responses(np.zeros(4), np.zeros(4), mags, mags)
-    with pytest.raises(PositivityViolation):
-        fit_antenna_gain_product(resp)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from phasecomb import (AntennaPattern, EmptyPattern, MalformedRow,
                        NonMonotonicAzimuth, ScenarioParams, aoa_exact,
                        builtin_pattern, combined_mean_gain, load_pattern_csv,
-                       sample_responses, worst_case_aoa)
+                       worst_case_aoa)
 from phasecomb import antenna
 from phasecomb.antenna import BUILTIN_PATTERNS
 
@@ -249,20 +249,30 @@ def test_pattern_ignores_later_writes_to_the_caller_arrays():
         assert worst_case_aoa(pat, partner) == want_aoa
 
 
-def test_sample_responses_follows_trajectory():
+@pytest.mark.parametrize("grid", [False, True])
+def test_burst_sampling_follows_trajectory(grid):
+    # packet 0 arrives from the pair's worst-case AOA, and the later packets
+    # follow the trajectory turned by the same angle
     p0, p1 = patch_pair()
     scen = ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=10.0, delta_a=0.5,
                           wavelength=0.0508, n_packets=6)
-    offset = 0.3
-    resp = sample_responses(p0, p1, scen, phi0_offset=offset)
+    if grid:
+        scen = ScenarioParams(d_x=30.0, d_y=np.linspace(-6.0, 6.0, 7)[None, :],
+                              delta_v=np.linspace(-20.0, 20.0, 5)[:, None],
+                              delta_a=0.5, wavelength=0.0508, n_packets=6)
     tk = scen.packet_times()
-    np.testing.assert_allclose(resp.times, tk, atol=0.0)
-    want_phi = np.mod(aoa_exact(scen, tk) + offset, TWO_PI)
-    m0, f0 = p0.evaluate(want_phi)
-    np.testing.assert_allclose(resp.mag0, m0, atol=0.0)
-    np.testing.assert_allclose(resp.phase0, f0, atol=0.0)
-    assert resp.mag1.shape == (6,)
-    assert resp.phase1.shape == (6,)
+    phi_min = worst_case_aoa(p0, p1)
+    mag0, phase0, mag1, phase1 = antenna._sample_burst(p0, p1, scen, tk, phi_min)
+    shape = (6, 5, 7) if grid else (6,)
+    assert mag0.shape == phase0.shape == mag1.shape == phase1.shape == shape
+    for pattern, mag, phase in ((p0, mag0, phase0), (p1, mag1, phase1)):
+        m, f = pattern.evaluate(phi_min)
+        np.testing.assert_array_equal(mag[0], m)
+        np.testing.assert_array_equal(phase[0], f)
+        turn = phi_min - aoa_exact(scen, 0.0)
+        want = pattern.evaluate(np.mod(aoa_exact(scen, tk) + turn, TWO_PI))
+        np.testing.assert_array_equal(mag, want[0])
+        np.testing.assert_array_equal(phase, want[1])
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 from phasecomb import (DESIGN_SNR_SCALE, AntennaPattern, DegenerateGeometry, InvalidRequest,
                        NonPositiveDistance, PathlossModel, PhasecombError, PositivityViolation,
                        ScenarioParams, ValidityViolation, ZeroGain, affine_coefficients,
-                       aoa_exact, builtin_pattern, carrier_wavelength, fit_antenna_gain_product,
-                       fit_antenna_phase_diff, kmh_to_mps, least_squares_fit, load_pattern_csv,
-                       loss, mean_path_gain, min_cross_term, sample_responses, speed_sweep,
+                       aoa_exact, builtin_pattern, carrier_wavelength, kmh_to_mps,
+                       least_squares_fit, load_pattern_csv, loss, mean_path_gain,
+                       min_cross_term, speed_sweep,
                        sum_snr_combined, sum_snr_omega, sum_snr_phi, sum_snr_pl,
                        taylor_omega, taylor_pathgain, transmitter_distance)
 from phasecomb import antenna, experiments
@@ -195,6 +195,24 @@ def test_sweep_in_speed_blocks_raises_what_the_first_failing_scenario_raises(
                                                              paths, error)
 
 
+def test_inadmissible_least_squares_path_gain_raises():
+    # an approaching transmitter whose path gain rises steeply: the
+    # least-squares line through it dips below 0 inside the burst (to
+    # -1.2e-9), while the Taylor line and the exact path score the burst
+    scen = ScenarioParams(d_x=30.33586683192, d_y=0.8730746650004795,
+                          delta_v=-16.64071341068446, delta_a=10.0 * LAM, wavelength=LAM,
+                          n_packets=12, t_interval=0.1)
+    unit = TWO_PI / (12 * 0.1)
+    for q in (1, 4):
+        with pytest.raises(PositivityViolation):
+            sum_snr_pl(q * unit, scen, MODEL, use_exact=False, fit="least_squares")
+        assert math.isfinite(sum_snr_pl(q * unit, scen, MODEL, use_exact=False))
+        assert math.isfinite(sum_snr_pl(q * unit, scen, MODEL))
+    assert sum_snr_pl(unit, scen, MODEL, use_exact=False) == pytest.approx(1.754331864533572,
+                                                                           rel=1e-12)
+    assert sum_snr_pl(unit, scen, MODEL) == pytest.approx(2.2552552957140217, rel=1e-12)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_sweep_in_speed_blocks_matches_one_grid(mode, monkeypatch):
     # at d_x = 170 m only the fastest receding speed passes the pathloss
@@ -297,10 +315,13 @@ def affine_fits(mode, scen, fit):
     if mode == "pl":
         norm = n * mean_path_gain(MODEL, transmitter_distance(scen, 0.0))
         return float(np.sum(pg(tk))), norm, [pg], [om]
+    # both patterns along the AOA trajectory, packet 0 at the worst-case AOA
     phi_min = antenna.worst_case_aoa(*PATTERNS)
-    resp = sample_responses(*PATTERNS, scen, phi_min - aoa_exact(scen, 0.0))
-    half_gain = 0.5 * (resp.mag0 ** 2 + resp.mag1 ** 2)
-    product, dphase = fit_antenna_gain_product(resp), fit_antenna_phase_diff(resp)
+    phi = np.mod(aoa_exact(scen, tk) + (phi_min - aoa_exact(scen, 0.0)), TWO_PI)
+    (mag0, phase0), (mag1, phase1) = (p.evaluate(phi) for p in PATTERNS)
+    half_gain = 0.5 * (mag0 ** 2 + mag1 ** 2)
+    product = least_squares_fit(tk, mag0 * mag1)
+    dphase = least_squares_fit(tk, np.unwrap(phase0 - phase1))
     if mode == "phi":
         norm = n * antenna.combined_mean_gain(*PATTERNS, phi_min)
         return float(np.sum(half_gain)), norm, [product], [dphase]
@@ -370,13 +391,13 @@ def test_sweep_finds_worst_case_aoa_once(mode, monkeypatch):
 def test_sweep_samples_responses_once(mode, monkeypatch):
     # both paths share one sampling of the antenna responses per grid block
     calls = []
-    original = antenna.sample_responses
+    original = antenna._sample_burst
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(antenna, "sample_responses", counting)
+    monkeypatch.setattr(antenna, "_sample_burst", counting)
     unit = TWO_PI / (10 * 0.1)
     speed_sweep(mode, {"q1": unit, "q5": 5.0 * unit}, [-30.0, 0.0, 30.0],
                 scen_at(dv_kmh=0.0), model=MODEL, patterns=PATTERNS,

@@ -294,6 +294,15 @@ def test_threshold_distance_cases():
         threshold_distance(synthetic_range_sweep([], []), 2.0)
 
 
+def test_threshold_distance_rejects_a_nan_bound():
+    sweep = synthetic_range_sweep([10, 20, 30, 40], [5.0, 3.0, 1.0, 0.5])
+    with pytest.raises(ValueError, match="NaN"):
+        threshold_distance(sweep, math.nan)
+    # an infinite bound has a well-defined answer: never or always exceeded
+    assert threshold_distance(sweep, math.inf) == 10.0
+    assert threshold_distance(sweep, -math.inf) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # speed_sweep
 # ---------------------------------------------------------------------------

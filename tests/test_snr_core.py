@@ -248,6 +248,12 @@ def test_c_ratio_squared_shape():
         c_ratio_squared(-edge, n, t)
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_c_ratio_squared_rejects_non_finite_w(w):
+    with pytest.raises(ValueError, match="not finite"):
+        c_ratio_squared(w, 10, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # closed-form cross term
 # ---------------------------------------------------------------------------

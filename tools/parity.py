@@ -23,8 +23,10 @@ raised.  The calls are
   (also an empty ``threshold_distance`` sweep), nested, scalar and
   non-numeric distance and offset grids, no or unknown paths, no slopes,
   an unknown fit on both paths, non-finite ``t0`` and slopes, zero and NaN
-  steps; non-integer packet counts, and counts below 2 passed to the
-  kernels and weight helpers; slope-set requests with too few
+  steps; a NaN or infinite sample time or value passed to
+  ``least_squares_fit``, ``threshold_distance`` bound and
+  ``c_ratio_squared`` w; non-integer packet counts, and counts below 2
+  passed to the kernels and weight helpers; slope-set requests with too few
   packets or a zero, negative or NaN interval; grid scenarios (array
   ``d_x``, ``d_y`` or ``delta_v``) passed to ``sum_snr_*`` and as the base of
   ``speed_sweep``.  Each records the class name of whatever it raises (any
@@ -35,11 +37,14 @@ raised.  The calls are
   detail string of each ``run_validation(42)`` check;
 * the public helpers the evaluators call or route around, on the same
   scenarios: ``least_squares_fit`` on 1-D data and by column,
-  ``require_positive`` (``None`` or the error), ``taylor_omega``,
-  ``taylor_pathgain``, ``sample_responses`` at an offset and both antenna
-  fits on those responses, each model's slope and intercept or each
-  sampled array bit for bit; and the set tests ``in_severe_set``,
-  ``in_zero_loss_set`` and ``check_optimality`` at a NaN or infinite x;
+  ``taylor_omega`` and ``taylor_pathgain``, each model's slope and
+  intercept bit for bit; and the set tests ``in_severe_set``,
+  ``in_zero_loss_set`` and ``check_optimality`` at a NaN or infinite x.
+  Where the imported package still has them, also the helpers later
+  versions removed: ``require_positive`` (``None`` or the error),
+  ``sample_responses`` at an offset and both antenna fits on those
+  responses.  So one script dumps an older and a newer package, and
+  ``compare`` lists the removed helpers' keys as held by one dump only;
 * ``cli.main`` on each subcommand at its defaults, the README examples and
   a few requests that exit 2 (usage) or 1 (runtime), each run three times
   in this process: twice with ``$PHASECOMB_OUT_DIR`` unset, then with it
@@ -207,6 +212,21 @@ def _requests(pc, model, pairs):
     empty = pc.SweepResult(name="a_omega_range", independent="d_x_m", values=np.array([]),
                            series={"half_slope_absmax_rad": np.array([])})
     yield "request\tthreshold_distance\tempty", _outcome(pc.threshold_distance, empty, 1.0)
+    table = pc.SweepResult(name="a_omega_range", independent="d_x_m",
+                           values=np.array([10.0, 20.0, 30.0]),
+                           series={"half_slope_absmax_rad": np.array([2.0, 1.0, 0.5])})
+    for bound in (math.nan, math.inf, -math.inf):
+        yield f"request\tthreshold_distance\tbound={bound!r}", _outcome(
+            pc.threshold_distance, table, bound)
+    samples = {"t=[0,nan,0.2]": ([0.0, math.nan, 0.2], [1.0, 2.0, 3.0]),
+               "t=[0,inf,0.2]": ([0.0, math.inf, 0.2], [1.0, 2.0, 3.0]),
+               "v=[1,nan,3]": ([0.0, 0.1, 0.2], [1.0, math.nan, 3.0]),
+               "v=[1,inf,3]": ([0.0, 0.1, 0.2], [1.0, math.inf, 3.0])}
+    for label, (times, values) in samples.items():
+        yield f"request\tleast_squares_fit\t{label}", _outcome(pc.least_squares_fit,
+                                                                times, values)
+    for w in (math.nan, math.inf):
+        yield f"request\tc_ratio_squared\tw={w!r}", _outcome(pc.c_ratio_squared, w, 10, 0.1)
     base = pc.ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=0.0, delta_a=10.0 * lam,
                              wavelength=lam)
     unit = 2.0 * math.pi / (base.n_packets * base.t_interval)
@@ -312,12 +332,20 @@ def _helpers(pc, model, pairs):
         yield f"helper\tleast_squares_fit\t1-D n={n}", _outcome(pc.least_squares_fit, t, v[:, 0, 0])
         yield f"helper\tleast_squares_fit\tcolumns n={n}", _outcome(
             pc.least_squares_fit, t.reshape(-1, 1, 1), v)
-    for slope, intercept in ((0.1, 1.0), (-1.0, 0.5), (-1.0, 0.9), (-1.0, 0.95), (0.0, 0.0)):
-        yield f"helper\trequire_positive\t{slope!r},{intercept!r}", _outcome(
-            pc.affine.require_positive, pc.AffineModel(slope, intercept), np.arange(10) * 0.1)
+    # helpers that later versions of the package removed are dumped only
+    # where the imported package still has them
+    if hasattr(pc.affine, "require_positive"):
+        for slope, intercept in ((0.1, 1.0), (-1.0, 0.5), (-1.0, 0.9), (-1.0, 0.95), (0.0, 0.0)):
+            yield f"helper\trequire_positive\t{slope!r},{intercept!r}", _outcome(
+                pc.affine.require_positive, pc.AffineModel(slope, intercept),
+                np.arange(10) * 0.1)
+    antenna_fits = [getattr(pc, name) for name in ("fit_antenna_gain_product",
+                                                   "fit_antenna_phase_diff") if hasattr(pc, name)]
     for label, scen in _scenarios(pc):
         yield f"helper\ttaylor_omega\t{label}", _outcome(pc.taylor_omega, scen)
         yield f"helper\ttaylor_pathgain\t{label}", _outcome(pc.taylor_pathgain, model, scen)
+        if not hasattr(pc, "sample_responses"):
+            continue
         for name, pair in pairs.items():
             key = f"{label}\t{name}"
             yield f"helper\tsample_responses\t{key}", _outcome(pc.sample_responses, *pair,
@@ -326,7 +354,7 @@ def _helpers(pc, model, pairs):
                 resp = pc.sample_responses(*pair, scen, 1.25)
             except pc.PhasecombError:
                 continue
-            for fit in (pc.fit_antenna_gain_product, pc.fit_antenna_phase_diff):
+            for fit in antenna_fits:
                 yield f"helper\t{fit.__name__}\t{key}", _outcome(fit, resp)
     for x in (math.nan, math.inf, -math.inf):
         yield f"helper\tin_severe_set\tx={x!r}", _outcome(pc.in_severe_set, x)
