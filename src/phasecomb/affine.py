@@ -99,13 +99,12 @@ def least_squares_fit(times, values) -> AffineModel:
         raise DegenerateSamples("need at least two samples of matching shape")
     if not -math.inf < t.min() < t.max() < math.inf:  # NaN fails every comparison
         raise DegenerateSamples("sample times must be finite and not all identical")
+    if not np.isfinite(v).all():  # before the sums, which warn on +inf with -inf
+        raise DegenerateSamples("sample values must be finite")
     # sum / size is the float mean() gives, without its Python-level wrapper
     tm = t.sum() / t.size
     dt = t.reshape((-1,) + (1,) * (v.ndim - 1)) - tm
     vm = v.sum(axis=0) / t.size
-    # a NaN or infinite value leaves its column's mean non-finite
-    if not (np.isfinite(vm).all() if vm.ndim else math.isfinite(vm)):
-        raise DegenerateSamples("sample values must be finite")
     slope = (dt * (v - vm)).sum(axis=0) / (dt * dt).sum()
     return AffineModel(slope=slope, intercept=vm - slope * tm)
 

@@ -2,8 +2,8 @@
 
 Subcommands mirror the library drivers: loss-curve, a-omega-range,
 speed-sweep, pl-losses, design-rule, validate.  Distances are meters and
-speeds km/h on the command line; conversion to SI happens here and nowhere
-deeper.  Exit codes: 0 success, 1 runtime or validation failure, 2 usage
+speeds km/h here and in the sweep drivers, which convert them; all below is
+SI.  Exit codes: 0 success, 1 runtime or validation failure, 2 usage
 (bad flags, or a request the library rejects as InvalidRequest).
 """
 

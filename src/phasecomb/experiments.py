@@ -167,11 +167,6 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     if mode not in snr._FACTORS:
         raise ValueError(f"unknown sweep mode {mode!r}")
     base._require_single()
-    _, uses_pl, uses_resp = snr._FACTORS[mode]
-    if uses_pl and model is None:
-        raise ValueError(f"mode {mode!r} needs a pathloss model")
-    if uses_resp and patterns is None:
-        raise ValueError(f"mode {mode!r} needs a pair of antenna patterns")
     for path in paths:
         if path not in ("exact", "affine"):
             raise InvalidRequest(f"unknown evaluation path {path!r}")
@@ -186,7 +181,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         raise ValueError("slopes must be finite")
     # each block's grid is sampled once for every slope; its leading axis of
     # length 1 takes the slopes, into (packet, slope, row, offset) arrays
-    blocks, max_distance = [], 0.0
+    blocks = []
     for block in _blocks(speeds, base.n_packets * slope_grid.size * dy.size):
         try:
             grid = replace(base, d_y=dy[None, None, :], delta_v=block[None, :, None])
@@ -203,8 +198,6 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         gain, norm = terms["exact"][:2]  # gain / norm is a float in omega mode
         worst["reference"] = np.broadcast_to(gain / norm, (1, block.size, dy.size))
         blocks.append({key: value.min(axis=-1) for key, value in worst.items()})
-        ends = grid.packet_times()[[0, -1]]
-        max_distance = max(max_distance, np.max(geometry.transmitter_distance(grid, ends)))
     db = {key: _to_db(np.concatenate([b[key] for b in blocks], axis=-1)) for key in blocks[0]}
     series = {f"{label}_{path}_db": db[path][i]
               for i, label in enumerate(slopes) for path in paths}
@@ -218,10 +211,13 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     }
     if mode == "combined":
         metadata["affine_path"] = "composed per-factor fits (approximation)"
-    if model is not None and max_distance > model.validity_m:
+    # a straight pass is farthest from the array at a burst end and the widest offset
+    reach = np.hypot(np.abs(base.d_x + speeds[:, None] * base.packet_times()[[0, -1]]).max(),
+                     np.abs(dy).max())
+    if model is not None and reach > model.validity_m:
         metadata["pl_validity_exceeded"] = True
         warnings.warn(
-            f"sweep reaches {max_distance:.1f} m, past the pathloss "
+            f"sweep reaches {reach:.1f} m, past the pathloss "
             f"validity horizon {model.validity_m:.1f} m", stacklevel=2)
     return SweepResult(name=f"speed_sweep_{mode}", independent="delta_v_kmh",
                        values=dv_kmh_values, series=series, metadata=metadata)

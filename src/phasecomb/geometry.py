@@ -6,9 +6,9 @@ its position at time t is (d_x + delta_v * t, d_y).  The two receive
 antennas are mounted on the lateral axis, antenna 0 at y = -delta_a / 2 and
 antenna 1 at y = +delta_a / 2.
 
-Units are SI throughout: meters, seconds, m/s, radians.  Speeds quoted in
-km/h are converted at the interface (CLI flags, demo scripts), never inside
-the library.
+Units are SI throughout: meters, seconds, m/s, radians.  Speeds in km/h
+are taken only by the CLI, the demo scripts and the sweep drivers in
+experiments, which convert them; everything below those drivers is SI.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import affine, antenna, geometry, pathloss
-from .errors import DomainX, NonFiniteX, NonPositiveC1, ZeroGain
+from .errors import DomainX, InvalidRequest, NonFiniteX, NonPositiveC1, ZeroGain
 
 TWO_PI = 2.0 * math.pi
 
@@ -320,11 +320,16 @@ _FACTORS = {"omega": (True, False, False), "pl": (True, True, False),
 def _terms(scen, mode, paths, model, patterns, fit, t0):
     """{path: (gain, norm, weights, phases, packet times)} for each path in
     paths.  The affine path fits each factor once, the phase difference
-    first, and evaluates each fit once, in its positivity check if it has one."""
+    first, and evaluates each fit once, in its positivity check if it has one.
+    A mode missing the model or a pattern it reads raises InvalidRequest first."""
+    has_omega, has_pl, has_resp = _FACTORS[mode]
+    if has_pl and model is None:
+        raise InvalidRequest(f"mode {mode!r} needs a pathloss model")
+    if has_resp and (patterns is None or patterns[0] is None or patterns[1] is None):
+        raise InvalidRequest(f"mode {mode!r} needs a pair of antenna patterns")
     if fit not in ("taylor", "least_squares"):
         raise ValueError(f"unknown fit method {fit!r}")
     t0 = affine._default_t0(scen, t0)
-    has_omega, has_pl, has_resp = _FACTORS[mode]
     n = scen.n_packets
     tk = scen.packet_times()
     if has_resp:

@@ -140,13 +140,16 @@ def test_least_squares_degenerate_inputs():
     ([0.0, 0.1, 0.2], [-math.inf, 2.0, math.inf]),
 ])
 def test_least_squares_rejects_non_finite_samples(times, values):
-    with pytest.raises(DegenerateSamples, match="finite"):
-        least_squares_fit(times, values)
-    # one bad column of a fit by column rejects the whole fit
-    columns = np.tile(np.arange(3.0)[:, None], (1, 4))
-    columns[:, 2] = values
-    with pytest.raises(DegenerateSamples, match="finite"):
-        least_squares_fit(np.asarray(times).reshape(-1, 1), columns)
+    # the typed error and nothing else: no warning comes before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSamples, match="finite"):
+            least_squares_fit(times, values)
+        # one bad column of a fit by column rejects the whole fit
+        columns = np.tile(np.arange(3.0)[:, None], (1, 4))
+        columns[:, 2] = values
+        with pytest.raises(DegenerateSamples, match="finite"):
+            least_squares_fit(np.asarray(times).reshape(-1, 1), columns)
 
 
 # ---------------------------------------------------------------------------

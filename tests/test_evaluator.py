@@ -239,6 +239,44 @@ def test_sweep_in_speed_blocks_matches_one_grid(mode, monkeypatch):
     assert whole.metadata["pl_validity_exceeded"]
 
 
+# (d_x, speeds in km/h, offsets) near the 177 m pathloss validity horizon,
+# and whether the sweep passes it
+HORIZON_CASES = [
+    # receding: farthest at the last packet
+    (170.0, [0.0, 20.0, 60.0], (-6.0, 0.5), True),
+    (160.0, [20.0, 40.0, 60.0], (-4.0, 0.5), False),
+    # approaching only: farthest at the first packet
+    (178.0, [-60.0, -40.0, -20.0], (-4.0, 4.0), True),
+    (-178.0, [20.0, 60.0], (4.0,), True),
+    (176.9, [-60.0, -20.0], (-0.5, 0.5), False),
+    # both directions
+    (165.0, [-60.0, 0.0, 60.0, 20.0], (-4.0, 0.5, 4.0), True),
+    (160.0, [-60.0, 20.0, 10.0], (0.5, -4.0), False),
+]
+
+
+def replace_cell(base, dv_kmh, d_y):
+    return ScenarioParams(**{**vars(base), "d_y": d_y, "delta_v": kmh_to_mps(dv_kmh)})
+
+
+@pytest.mark.parametrize("block_cells", [experiments._BLOCK_CELLS, 1])
+@pytest.mark.parametrize("d_x, dv, offsets, passes", HORIZON_CASES)
+def test_sweep_horizon_flag_matches_every_packet_distance(d_x, dv, offsets, passes,
+                                                          block_cells, monkeypatch):
+    monkeypatch.setattr(experiments, "_BLOCK_CELLS", block_cells)
+    base = scen_at(d_x=d_x, dv_kmh=0.0)
+    farthest = max(transmitter_distance(scen, scen.packet_times()).max()
+                   for scen in (replace_cell(base, v, dy) for v in dv for dy in offsets))
+    assert bool(farthest > MODEL.validity_m) is passes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = speed_sweep("pl", {"q1": TWO_PI}, dv, base, model=MODEL, d_y_values=offsets)
+    assert res.metadata.get("pl_validity_exceeded", False) is passes
+    assert [str(w.message) for w in caught] == (
+        [f"sweep reaches {farthest:.1f} m, past the pathloss validity horizon 177.0 m"]
+        if passes else [])
+
+
 # ---------------------------------------------------------------------------
 # exact path against a brute-force offset scan
 # ---------------------------------------------------------------------------
@@ -471,6 +509,58 @@ def test_single_calls_and_sweep_bases_reject_a_grid(mode, use_exact):
     scen = ScenarioParams(**{**vars(scen_at()), "d_x": np.array(30.0)})
     assert public_call(mode, unit, scen, use_exact) == public_call(mode, unit, scen_at(),
                                                                    use_exact)
+
+
+P0, P1 = PATTERNS
+# each mode's calls with a model or pattern it reads left out, and the message
+MISSING_INPUTS = [
+    (sum_snr_pl, (None,), "needs a pathloss model"),
+    (sum_snr_phi, (None, P1), "needs a pair of antenna patterns"),
+    (sum_snr_phi, (P0, None), "needs a pair of antenna patterns"),
+    (sum_snr_phi, (None, None), "needs a pair of antenna patterns"),
+    (sum_snr_combined, (None, P0, P1), "needs a pathloss model"),
+    (sum_snr_combined, (MODEL, None, P1), "needs a pair of antenna patterns"),
+    (sum_snr_combined, (MODEL, P0, None), "needs a pair of antenna patterns"),
+]
+
+
+@pytest.mark.parametrize("use_exact", [True, False], ids=["exact", "affine"])
+@pytest.mark.parametrize("call, inputs, message", MISSING_INPUTS,
+                         ids=["pl-model", "phi-pattern0", "phi-pattern1", "phi-both",
+                              "combined-model", "combined-pattern0", "combined-pattern1"])
+def test_single_calls_reject_a_missing_model_or_pattern(call, inputs, message, use_exact,
+                                                        monkeypatch):
+    # the evaluator checks before it samples anything
+    monkeypatch.setattr(antenna, "_sample_burst", None)
+    scen = scen_at()
+    with pytest.raises(InvalidRequest, match=message):
+        call(TWO_PI / (scen.n_packets * scen.t_interval), scen, *inputs, use_exact=use_exact)
+
+
+@pytest.mark.parametrize("mode, model, patterns, message", [
+    ("pl", None, PATTERNS, "needs a pathloss model"),
+    ("combined", None, PATTERNS, "needs a pathloss model"),
+    *[(mode, MODEL, pair, "needs a pair of antenna patterns") for mode in ("phi", "combined")
+      for pair in (None, (P0, None), (None, P1))],
+], ids=["pl-model", "combined-model", "phi-no-pair", "phi-pattern1", "phi-pattern0",
+        "combined-no-pair", "combined-pattern1", "combined-pattern0"])
+def test_sweep_rejects_a_missing_model_or_pattern(mode, model, patterns, message, monkeypatch):
+    unit = TWO_PI / (10 * 0.1)
+    for block_cells in (experiments._BLOCK_CELLS, 1):
+        monkeypatch.setattr(experiments, "_BLOCK_CELLS", block_cells)
+        with pytest.raises(InvalidRequest, match=message):
+            speed_sweep(mode, {"q1": unit}, [-20.0, 0.0, 20.0], scen_at(), model=model,
+                        patterns=patterns, d_y_values=(-4.0, 4.0))
+    # beside a fault in the driver's own arguments, the driver reports first
+    faults = [(dict(paths=("bogus",)), "unknown evaluation path"),
+              (dict(dv_kmh_values=[]), "empty speed grid"),
+              (dict(dv_kmh_values=["a"]), "speed grid must hold numbers"),
+              (dict(slopes={"q1": math.nan}), "slopes must be finite"),
+              (dict(base=scen_at(d_y=np.array([-4.0, 4.0]))), "one scenario")]
+    for fault, fault_message in faults:
+        kwargs = {"slopes": {"q1": unit}, "dv_kmh_values": [0.0], "base": scen_at(), **fault}
+        with pytest.raises(ValueError, match=fault_message):
+            speed_sweep(mode, model=model, patterns=patterns, **kwargs)
 
 
 def test_phi_mode_rejects_a_pair_with_zero_gain_at_the_worst_case_aoa(tmp_path):

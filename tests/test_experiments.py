@@ -310,9 +310,9 @@ def test_threshold_distance_rejects_a_nan_bound():
 def test_speed_sweep_rejects_bad_requests():
     with pytest.raises(ValueError):
         speed_sweep("bogus", {"q1": BASE_SLOPE}, [0.0], base_scen())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRequest, match="needs a pathloss model"):
         speed_sweep("pl", {"q1": BASE_SLOPE}, [0.0], base_scen())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRequest, match="needs a pair of antenna patterns"):
         speed_sweep("phi", {"q1": BASE_SLOPE}, [0.0], base_scen())
     with pytest.raises(InvalidRequest, match="unknown evaluation path 'bogus'"):
         speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=("bogus",))

@@ -29,8 +29,10 @@ raised.  The calls are
   passed to the kernels and weight helpers; slope-set requests with too few
   packets or a zero, negative or NaN interval; grid scenarios (array
   ``d_x``, ``d_y`` or ``delta_v``) passed to ``sum_snr_*`` and as the base of
-  ``speed_sweep``.  Each records the class name of whatever it raises (any
-  exception), or what it returns;
+  ``speed_sweep``; a pathloss model or antenna pattern left ``None`` in each
+  ``sum_snr_*`` mode that reads it and in every ``speed_sweep`` mode, also
+  beside an unknown path or an empty speed grid.  Each records the class
+  name of whatever it raises (any exception), or what it returns;
 * the brute-force ``validation.worst_case_y_scan`` on seeded bursts (one
   burst; 200 zero-padded bursts shaped like the battery's scan check; 2,000
   bursts on a 5,000-point grid): every y and value; and the pass flag and
@@ -39,12 +41,7 @@ raised.  The calls are
   scenarios: ``least_squares_fit`` on 1-D data and by column,
   ``taylor_omega`` and ``taylor_pathgain``, each model's slope and
   intercept bit for bit; and the set tests ``in_severe_set``,
-  ``in_zero_loss_set`` and ``check_optimality`` at a NaN or infinite x.
-  Where the imported package still has them, also the helpers later
-  versions removed: ``require_positive`` (``None`` or the error),
-  ``sample_responses`` at an offset and both antenna fits on those
-  responses.  So one script dumps an older and a newer package, and
-  ``compare`` lists the removed helpers' keys as held by one dump only;
+  ``in_zero_loss_set`` and ``check_optimality`` at a NaN or infinite x;
 * ``cli.main`` on each subcommand at its defaults, the README examples and
   a few requests that exit 2 (usage) or 1 (runtime), each run three times
   in this process: twice with ``$PHASECOMB_OUT_DIR`` unset, then with it
@@ -182,7 +179,7 @@ def _outcome(fn, *args, **kwargs) -> str:
         return "ok " + " ".join(float(v).hex() for v in result)
     if hasattr(result, "series"):
         columns = (result.values, *result.series.values())
-    elif dataclasses.is_dataclass(result):  # an affine model or sampled responses
+    elif dataclasses.is_dataclass(result):  # an affine model
         columns = [np.ravel(getattr(result, f.name)) for f in dataclasses.fields(result)]
     else:
         return f"ok {result!r}"
@@ -237,12 +234,18 @@ def _requests(pc, model, pairs):
               "slope=inf": dict(slopes={"q1": math.inf}),
               "t0=nan,exact": dict(paths=("exact",), t0=math.nan),
               "t0=nan,affine": dict(paths=("affine",), t0=math.nan),
-              **_malformed("d_y", "d_y_values")}
+              **_malformed("d_y", "d_y_values"),
+              "model=None": dict(model=None), "patterns=None": dict(patterns=None),
+              "patterns=(p,None)": dict(patterns=(pair[0], None)),
+              "patterns=(None,p)": dict(patterns=(None, pair[1])),
+              "model=None,paths=bogus": dict(model=None, paths=("bogus",)),
+              "patterns=None,dv=[]": dict(patterns=None, dv_kmh_values=[])}
     for mode in MODES:
         for label, kwargs in sweeps.items():
-            kwargs = {"slopes": {"q1": unit}, "dv_kmh_values": [-20.0, 0.0, 20.0], **kwargs}
+            kwargs = {"slopes": {"q1": unit}, "dv_kmh_values": [-20.0, 0.0, 20.0],
+                      "model": model, "patterns": pair, **kwargs}
             yield f"request\tspeed_sweep\t{mode}\t{label}", _outcome(
-                pc.speed_sweep, mode, base=base, model=model, patterns=pair, **kwargs)
+                pc.speed_sweep, mode, base=base, **kwargs)
     scen = pc.ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=pc.kmh_to_mps(40.0),
                              delta_a=10.0 * lam, wavelength=lam)
     for exact in (True, False):
@@ -259,6 +262,16 @@ def _requests(pc, model, pairs):
         calls = {"omega": (pc.sum_snr_omega, ()), "pl": (pc.sum_snr_pl, (model,)),
                  "phi": (pc.sum_snr_phi, pair), "combined": (pc.sum_snr_combined,
                                                              (model, *pair))}
+        p0, p1 = pair
+        missing = {"pl": {"model=None": (None,)},
+                   "phi": {"pattern0=None": (None, p1), "pattern1=None": (p0, None),
+                           "patterns=None": (None, None)},
+                   "combined": {"model=None": (None, p0, p1), "pattern0=None": (model, None, p1),
+                                "pattern1=None": (model, p0, None)}}
+        for mode, cases in missing.items():
+            for label, extra in cases.items():
+                yield f"request\tsum_snr_{mode}\t{path}\t{label}", _outcome(
+                    calls[mode][0], unit, scen, *extra, use_exact=exact)
         for slope in (math.nan, math.inf):
             for mode, (fn, extra) in calls.items():
                 yield f"request\tsum_snr_{mode}\t{path}\tslope={slope!r}", _outcome(
@@ -325,37 +338,16 @@ def _sweeps(pc, model, pairs):
                         yield f"{key}\tmetadata", repr(res.metadata)
 
 
-def _helpers(pc, model, pairs):
+def _helpers(pc, model):
     rng = np.random.default_rng(SEED)
     for n in (2, 3, 8, 16):
         t, v = np.arange(n) * 0.1, rng.uniform(-2.0, 2.0, (n, 3, 2))
         yield f"helper\tleast_squares_fit\t1-D n={n}", _outcome(pc.least_squares_fit, t, v[:, 0, 0])
         yield f"helper\tleast_squares_fit\tcolumns n={n}", _outcome(
             pc.least_squares_fit, t.reshape(-1, 1, 1), v)
-    # helpers that later versions of the package removed are dumped only
-    # where the imported package still has them
-    if hasattr(pc.affine, "require_positive"):
-        for slope, intercept in ((0.1, 1.0), (-1.0, 0.5), (-1.0, 0.9), (-1.0, 0.95), (0.0, 0.0)):
-            yield f"helper\trequire_positive\t{slope!r},{intercept!r}", _outcome(
-                pc.affine.require_positive, pc.AffineModel(slope, intercept),
-                np.arange(10) * 0.1)
-    antenna_fits = [getattr(pc, name) for name in ("fit_antenna_gain_product",
-                                                   "fit_antenna_phase_diff") if hasattr(pc, name)]
     for label, scen in _scenarios(pc):
         yield f"helper\ttaylor_omega\t{label}", _outcome(pc.taylor_omega, scen)
         yield f"helper\ttaylor_pathgain\t{label}", _outcome(pc.taylor_pathgain, model, scen)
-        if not hasattr(pc, "sample_responses"):
-            continue
-        for name, pair in pairs.items():
-            key = f"{label}\t{name}"
-            yield f"helper\tsample_responses\t{key}", _outcome(pc.sample_responses, *pair,
-                                                                scen, 1.25)
-            try:
-                resp = pc.sample_responses(*pair, scen, 1.25)
-            except pc.PhasecombError:
-                continue
-            for fit in antenna_fits:
-                yield f"helper\t{fit.__name__}\t{key}", _outcome(fit, resp)
     for x in (math.nan, math.inf, -math.inf):
         yield f"helper\tin_severe_set\tx={x!r}", _outcome(pc.in_severe_set, x)
         yield f"helper\tin_zero_loss_set\tx={x!r}", _outcome(pc.in_zero_loss_set, x, 5)
@@ -437,7 +429,7 @@ def dump(out: str) -> None:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in (*_single_calls(pc, model, pairs), *_cache_calls(pc, model, pairs),
                            *_sweeps(pc, model, pairs),
-                           *_requests(pc, model, pairs), *_helpers(pc, model, pairs),
+                           *_requests(pc, model, pairs), *_helpers(pc, model),
                            *_scans(pc), *_cli(cli)):
             fh.write(f"{key}\t{value}\n")
 
