@@ -99,7 +99,7 @@ def least_squares_fit(times, values) -> AffineModel:
         raise DegenerateSamples("need at least two samples of matching shape")
     if not -math.inf < t.min() < t.max() < math.inf:  # NaN fails every comparison
         raise DegenerateSamples("sample times must be finite and not all identical")
-    if not np.isfinite(v).all():  # before the sums, which warn on +inf with -inf
+    if np.count_nonzero(np.isfinite(v)) < v.size:  # before the sums, which warn on +inf with -inf
         raise DegenerateSamples("sample values must be finite")
     # sum / size is the float mean() gives, without its Python-level wrapper
     tm = t.sum() / t.size
