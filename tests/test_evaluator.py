@@ -255,18 +255,15 @@ HORIZON_CASES = [
 ]
 
 
-def replace_cell(base, dv_kmh, d_y):
-    return ScenarioParams(**{**vars(base), "d_y": d_y, "delta_v": kmh_to_mps(dv_kmh)})
-
-
 @pytest.mark.parametrize("block_cells", [experiments._BLOCK_CELLS, 1])
 @pytest.mark.parametrize("d_x, dv, offsets, passes", HORIZON_CASES)
 def test_sweep_horizon_flag_matches_every_packet_distance(d_x, dv, offsets, passes,
                                                           block_cells, monkeypatch):
     monkeypatch.setattr(experiments, "_BLOCK_CELLS", block_cells)
     base = scen_at(d_x=d_x, dv_kmh=0.0)
-    farthest = max(transmitter_distance(scen, scen.packet_times()).max()
-                   for scen in (replace_cell(base, v, dy) for v in dv for dy in offsets))
+    cells = [ScenarioParams(**{**vars(base), "d_y": dy, "delta_v": kmh_to_mps(v)})
+             for v in dv for dy in offsets]
+    farthest = max(transmitter_distance(scen, scen.packet_times()).max() for scen in cells)
     assert bool(farthest > MODEL.validity_m) is passes
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
