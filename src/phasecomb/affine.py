@@ -97,22 +97,38 @@ def least_squares_fit(times, values) -> AffineModel:
     v = np.asarray(values, dtype=float)
     if t.size < 2 or v.shape[:1] != (t.size,):
         raise DegenerateSamples("need at least two samples of matching shape")
+    return _fitter(t.reshape((-1,) + (1,) * (v.ndim - 1)))(v)
+
+
+def _fitter(t):
+    """least_squares_fit at the sample times t, as a function of the values,
+    which must have t's number of axes; t is checked and centred once."""
     if not -math.inf < t.min() < t.max() < math.inf:  # NaN fails every comparison
         raise DegenerateSamples("sample times must be finite and not all identical")
-    if np.count_nonzero(np.isfinite(v)) < v.size:  # before the sums, which warn on +inf with -inf
-        raise DegenerateSamples("sample values must be finite")
     # sum / size is the float mean() gives, without its Python-level wrapper
     tm = t.sum() / t.size
-    dt = t.reshape((-1,) + (1,) * (v.ndim - 1)) - tm
-    vm = v.sum(axis=0) / t.size
-    slope = (dt * (v - vm)).sum(axis=0) / (dt * dt).sum()
-    return AffineModel(slope=slope, intercept=vm - slope * tm)
+    dt = t - tm
+    dt2 = (dt * dt).sum()
+
+    def fit(v) -> AffineModel:
+        # checked before the sums, which warn on +inf with -inf
+        if np.count_nonzero(np.isfinite(v)) < v.size:
+            raise DegenerateSamples("sample values must be finite")
+        vm = v.sum(axis=0) / t.size
+        slope = (dt * (v - vm)).sum(axis=0) / dt2
+        return AffineModel(slope=slope, intercept=vm - slope * tm)
+    return fit
 
 
-def _fit_phase_diff(times, phase0, phase1) -> AffineModel:
-    """Affine fit of the branch phase difference along the sampled burst.
-
-    The per-packet difference is unwrapped before fitting so a 2 pi seam in
-    either branch's tabulated phase cannot masquerade as drift.
-    """
-    return least_squares_fit(times, np.unwrap(phase0 - phase1, axis=0))
+def _unwrap(p):
+    """np.unwrap(p, axis=0) for a float array p, by the same numpy steps
+    without its dtype and axis set-up, so bit for bit the same."""
+    dd = p[1:] - p[:-1]
+    ddmod = np.mod(dd + math.pi, 2.0 * math.pi) - math.pi
+    # a jump of exactly +pi stays +pi, as in np.unwrap
+    np.copyto(ddmod, math.pi, where=(ddmod == -math.pi) & (dd > 0))
+    correct = ddmod - dd
+    np.copyto(correct, 0.0, where=abs(dd) < math.pi)
+    up = p.copy()
+    up[1:] = p[1:] + correct.cumsum(axis=0)
+    return up

@@ -214,7 +214,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     # a straight pass is farthest from the array at a burst end and the widest offset
     reach = np.hypot(np.abs(base.d_x + speeds[:, None] * base.packet_times()[[0, -1]]).max(),
                      np.abs(dy).max())
-    if model is not None and reach > model.validity_m:
+    if snr._FACTORS[mode][1] and reach > model.validity_m:
         metadata["pl_validity_exceeded"] = True
         warnings.warn(
             f"sweep reaches {reach:.1f} m, past the pathloss "

@@ -85,13 +85,15 @@ class ScenarioParams:
 
 
 def _check_burst(n_packets: int, t_interval: float = 1.0) -> None:
-    """A burst of an integer n >= 2 packets a positive, finite interval apart."""
+    """A burst of an integer n >= 2 packets a positive interval apart, n * interval finite."""
     if not isinstance(n_packets, (int, np.integer)):
         raise ValueError(f"packet count {n_packets!r} is not an integer")
     if n_packets < 2:
         raise TooFewPackets("a burst needs at least two packets")
     if not 0.0 < t_interval < math.inf:
         raise ValueError(f"packet interval {t_interval!r} is not a positive finite number")
+    if not float(n_packets) * float(t_interval) < math.inf:  # floats: numpy warns on overflow
+        raise ValueError(f"{n_packets} packets {t_interval!r} s apart overflow the burst span")
 
 
 def transmitter_distance(scen: ScenarioParams, t):

@@ -344,6 +344,8 @@ def _terms(scen, mode, paths, model, patterns, fit, t0):
             if has_pl else n * aoa_gain if has_resp else n)
     if has_pl and ("exact" in paths or fit == "least_squares"):
         pl = pathloss.mean_path_gain(model, geometry.transmitter_distance(scen, tk))
+    if "affine" in paths and (has_resp or has_pl and fit == "least_squares"):
+        fitter = affine._fitter(tk)
     terms = {}
     for path in paths:
         exact = path == "exact"
@@ -355,15 +357,15 @@ def _terms(scen, mode, paths, model, patterns, fit, t0):
         if has_pl and exact:
             w = pl
         elif has_pl:
-            fitted = (affine._taylor_pathgain(model, scen, t0) if fit == "taylor"
-                      else affine.least_squares_fit(tk, pl))
+            fitted = affine._taylor_pathgain(model, scen, t0) if fit == "taylor" else fitter(pl)
             w = fitted._positive(tk)
         gain = (w * half_gain if has_resp else w).sum(axis=0) if has_pl or has_resp else n
         if has_resp:
-            w = (w * mag0 * mag1 if exact
-                 else w * affine.least_squares_fit(tk, mag0 * mag1)._positive(tk))
+            w = w * mag0 * mag1 if exact else w * fitter(mag0 * mag1)._positive(tk)
+            # the affine path unwraps the difference before fitting, so a 2 pi
+            # seam in either branch's tabulated phase cannot masquerade as drift
             phase = phase + (phase0 - phase1 if exact
-                             else affine._fit_phase_diff(tk, phase0, phase1)(tk))
+                             else fitter(affine._unwrap(phase0 - phase1))(tk))
         terms[path] = gain, norm, w, phase, tk
     return terms
 

@@ -10,7 +10,7 @@ from phasecomb import (AffineModel, DegenerateSamples, PathlossModel,
                        PositivityViolation, ScenarioParams, ValidityViolation,
                        least_squares_fit, mean_path_gain, omega_exact,
                        taylor_omega, taylor_pathgain, transmitter_distance)
-from phasecomb.affine import _fit_phase_diff
+from phasecomb.affine import _unwrap
 
 
 def make_scen(**kw):
@@ -191,5 +191,21 @@ def test_phase_diff_fit_sees_through_wrap_seam():
     t = np.arange(10) * 0.1
     raw = 4.0 * t
     wrapped = np.mod(raw + math.pi, 2.0 * math.pi) - math.pi
-    model = _fit_phase_diff(t, wrapped, np.zeros(10))
+    model = least_squares_fit(t, _unwrap(wrapped - np.zeros(10)))
     assert model.slope == pytest.approx(4.0, abs=1e-9)
+
+
+def test_unwrap_matches_numpy_bit_for_bit():
+    # random phases, and whole multiples of pi, whose jumps of exactly +-pi
+    # take np.unwrap's tie-breaking branch
+    rng = np.random.default_rng(25)
+    ties = 0
+    for i in range(2000):
+        shape = (int(rng.integers(2, 13)),) + tuple(rng.integers(1, 4, rng.integers(0, 3)))
+        if i % 3:
+            p = rng.uniform(-20.0, 20.0, shape)
+        else:
+            p = rng.integers(-4, 5, shape) * math.pi
+            ties += np.count_nonzero(np.abs(np.diff(p, axis=0)) == math.pi)
+        assert _unwrap(p).tobytes() == np.unwrap(p, axis=0).tobytes(), p
+    assert ties > 0

@@ -27,7 +27,7 @@ from phasecomb import (DESIGN_SNR_SCALE, AntennaPattern, DegenerateGeometry, Inv
                        min_cross_term, speed_sweep,
                        sum_snr_combined, sum_snr_omega, sum_snr_phi, sum_snr_pl,
                        taylor_omega, taylor_pathgain, transmitter_distance)
-from phasecomb import antenna, experiments
+from phasecomb import affine, antenna, experiments
 from phasecomb.validation import Y_SCAN_GRID, worst_case_y_scan
 
 TWO_PI = 2.0 * math.pi
@@ -236,7 +236,11 @@ def test_sweep_in_speed_blocks_matches_one_grid(mode, monkeypatch):
         np.testing.assert_array_equal(blocked.series[key], values, err_msg=key)
     assert blocked.metadata == whole.metadata
     assert blocked_warnings == whole_warnings
-    assert whole.metadata["pl_validity_exceeded"]
+    # only the modes that read the path gain flag the pathloss horizon
+    if mode in ("pl", "combined"):
+        assert whole.metadata["pl_validity_exceeded"]
+    else:
+        assert "pl_validity_exceeded" not in whole.metadata and not whole_warnings
 
 
 # (d_x, speeds in km/h, offsets) near the 177 m pathloss validity horizon,
@@ -272,6 +276,23 @@ def test_sweep_horizon_flag_matches_every_packet_distance(d_x, dv, offsets, pass
     assert [str(w.message) for w in caught] == (
         [f"sweep reaches {farthest:.1f} m, past the pathloss validity horizon 177.0 m"]
         if passes else [])
+
+
+@pytest.mark.parametrize("mode", ["omega", "phi"])
+def test_sweep_without_path_gain_ignores_the_horizon(mode):
+    # omega and phi never read the path gain: a model passed along neither
+    # flags nor warns, even 23 m past the 177 m horizon, and changes no value
+    base = scen_at(d_x=200.0, dv_kmh=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = speed_sweep(mode, {"q1": TWO_PI}, [-20.0, 20.0], base, model=MODEL,
+                          patterns=PATTERNS)
+    assert "pl_validity_exceeded" not in res.metadata
+    assert caught == []
+    bare = speed_sweep(mode, {"q1": TWO_PI}, [-20.0, 20.0], base, patterns=PATTERNS)
+    assert res.metadata == bare.metadata
+    for key, values in bare.series.items():
+        np.testing.assert_array_equal(res.series[key], values, err_msg=key)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +464,35 @@ def test_sweep_samples_responses_once(mode, monkeypatch):
     speed_sweep(mode, {"q1": unit}, [-30.0, 0.0, 30.0], scen_at(dv_kmh=0.0), model=MODEL,
                 patterns=PATTERNS, paths=("exact", "affine"), d_y_values=(-4.0, 4.0))
     assert len(calls) == 3
+
+
+def test_each_least_squares_call_builds_one_fitter(monkeypatch):
+    # the affine path checks and centres the packet times once per call, for
+    # all its least-squares fits; exact and Taylor-only calls fit nothing
+    calls = []
+    original = affine._fitter
+
+    def counting(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(affine, "_fitter", counting)
+    scen = scen_at()
+    unit = TWO_PI / (10 * 0.1)
+    for mode in MODES:
+        for exact in (True, False):
+            calls.clear()
+            public_call(mode, unit, scen, exact)
+            assert len(calls) == (mode in ("phi", "combined") and not exact), (mode, exact)
+    for exact in (True, False):
+        calls.clear()
+        sum_snr_pl(unit, scen, MODEL, use_exact=exact, fit="least_squares")
+        assert len(calls) == (not exact), exact
+    calls.clear()
+    speed_sweep("combined", {"q1": unit, "q5": 5.0 * unit}, [-30.0, 0.0, 30.0],
+                scen_at(dv_kmh=0.0), model=MODEL, patterns=PATTERNS,
+                paths=("exact", "affine"), d_y_values=(-4.0, 4.0))
+    assert len(calls) == 1
 
 
 def test_sweep_memory_stays_flat_as_the_speed_grid_grows():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_scenario_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 make_scen(**{field: bad})
+
+
+def test_scenario_burst_span_must_not_overflow():
+    # a finite interval whose burst span n * T overflows would put the last
+    # packet at inf, and every exact sum_snr_* call would return NaN
+    for n, t in ((3, 1e308), (np.int64(3), 1e308), (10, np.float64(1.8e307))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning on the way
+            with pytest.raises(ValueError, match="overflow"):
+                make_scen(n_packets=n, t_interval=t)
+    assert make_scen(n_packets=2, t_interval=8e307).packet_times()[-1] == 8e307
 
 
 def test_scenario_is_frozen():

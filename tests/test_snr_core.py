@@ -9,6 +9,7 @@ by brute-force scans.
 import cmath
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -746,3 +747,21 @@ def test_burst_calls_check_their_burst(call, takes_interval):
         with pytest.raises(ValueError, match="packet interval"):
             call(4, t)
     call(np.int64(4), 0.1)
+
+
+@pytest.mark.parametrize("call", [
+    optimal_slope_set, design_rule_alpha_star,
+    lambda n, t: check_optimality([0.0, 1.0], n, t),
+    lambda n, t: affine_coefficients(1.0, 2.0, n, t),
+    lambda n, t: c_ratio_squared(0.1, n, t),
+], ids=["optimal_slope_set", "design_rule_alpha_star", "check_optimality",
+        "affine_coefficients", "c_ratio_squared"])
+def test_burst_calls_reject_an_overflowing_span(call):
+    # 3 x 1e308 overflows, and optimal_slope_set(3, 1e308) would be [0, 0],
+    # two slopes on the severe set
+    for n, t in ((3, 1e308), (np.int64(3), 1e308), (10, np.float64(1.8e307))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning on the way
+            with pytest.raises(ValueError, match="overflow"):
+                call(n, t)
+    call(2, 8e307)

@@ -27,7 +27,9 @@ raised.  The calls are
   ``least_squares_fit``, ``threshold_distance`` bound and
   ``c_ratio_squared`` w; non-integer packet counts, and counts below 2
   passed to the kernels and weight helpers; slope-set requests with too few
-  packets or a zero, negative or NaN interval; grid scenarios (array
+  packets or a zero, negative or NaN interval; a burst of 3 packets 1e308 s
+  apart, whose span overflows, passed to ``ScenarioParams``, every
+  ``sum_snr_*`` call, the slope-set and weight helpers; grid scenarios (array
   ``d_x``, ``d_y`` or ``delta_v``) passed to ``sum_snr_*`` and as the base of
   ``speed_sweep``; a pathloss model or antenna pattern left ``None`` in each
   ``sum_snr_*`` mode that reads it and in every ``speed_sweep`` mode, also
@@ -80,6 +82,8 @@ PATTERN_PAIRS = (("patch_front", "patch_rear"), ("isotropic", "cardioid"))
 # grid scenario fields: a one-element array, which is still a grid, and two others
 GRIDS = {"d_x": np.array([30.0]), "d_y": np.array([-4.0, 4.0]),
          "delta_v": np.array([[0.0], [11.0]])}
+# a burst whose span n * T overflows although T is finite
+OVERFLOW = {"n_packets": 3, "t_interval": 1e308}
 # each subcommand at its defaults, the README examples, a sweep past the
 # pathloss validity horizon, then requests that exit 2 and ones that exit 1
 CLI_REQUESTS = (
@@ -276,6 +280,9 @@ def _requests(pc, model, pairs):
             for mode, (fn, extra) in calls.items():
                 yield f"request\tsum_snr_{mode}\t{path}\tslope={slope!r}", _outcome(
                     fn, slope, scen, *extra, use_exact=exact)
+        for mode, (fn, extra) in calls.items():
+            yield f"request\tsum_snr_{mode}\t{path}\tn_packets=3,t_interval=1e308", _outcome(
+                lambda: fn(1.0, replace(scen, **OVERFLOW), *extra, use_exact=exact))
         for field, grid in GRIDS.items():
             for mode, (fn, extra) in calls.items():
                 yield f"request\tsum_snr_{mode}\t{path}\tgrid {field}={grid.tolist()}", _outcome(
@@ -301,8 +308,13 @@ def _requests(pc, model, pairs):
                   "design_rule_alpha_star": pc.design_rule_alpha_star,
                   "check_optimality": lambda n, t: pc.check_optimality([0.0, 1.0], n, t)}
     for name, fn in slope_sets.items():
-        for n, t in ((1, 0.1), (2.5, 0.1), (4, 0.0), (4, -0.1), (4, math.nan)):
+        for n, t in ((1, 0.1), (2.5, 0.1), (4, 0.0), (4, -0.1), (4, math.nan), (3, 1e308)):
             yield f"request\t{name}\tn={n!r},t={t!r}", _outcome(fn, n, t)
+    overflowing = {"affine_coefficients": lambda: pc.affine_coefficients(1.0, 2.0, 3, 1e308),
+                   "c_ratio_squared": lambda: pc.c_ratio_squared(0.1, 3, 1e308),
+                   "ScenarioParams": lambda: replace(scen, **OVERFLOW)}
+    for name, fn in overflowing.items():
+        yield f"request\t{name}\tn=3,t=1e308", _outcome(fn)
 
 
 def _sweeps(pc, model, pairs):

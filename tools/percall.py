@@ -1,0 +1,65 @@
+"""Time one public sum_snr_* call per mode and evaluation path.
+
+    PYTHONPATH=src python3 tools/percall.py
+
+Imports phasecomb from the import path (so ``PYTHONPATH`` picks the
+checkout to measure), with BLAS and OpenMP pinned to one thread.  Every
+call evaluates one fixed scenario (d_x 30 m, d_y -4 m, 40 km/h, antenna
+spacing 10 wavelengths at 5.9 GHz, K 10 packets 0.1 s apart) at the design
+rule's slope, with the default pathloss model and the builtin patch pair.
+Each row is the best of REPEATS runs of CALLS calls, in microseconds per
+call: the four modes on both paths, and the pathloss mode's affine path
+with the least-squares fit.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy is imported
+
+import sys  # noqa: E402
+import timeit  # noqa: E402
+
+import phasecomb as pc  # noqa: E402
+
+REPEATS = 7
+CALLS = 3_000
+
+
+def calls() -> dict[str, object]:
+    """Zero-argument calls by row label, mode and path."""
+    lam = pc.carrier_wavelength(5.9e9)
+    scen = pc.ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=pc.kmh_to_mps(40.0),
+                             delta_a=10.0 * lam, wavelength=lam, n_packets=10, t_interval=0.1)
+    slope = float(pc.design_rule_alpha_star(scen.n_packets, scen.t_interval)[0])
+    model = pc.PathlossModel()
+    pair = (pc.builtin_pattern("patch_front"), pc.builtin_pattern("patch_rear"))
+    rows = {}
+    for path, exact in (("exact", True), ("affine", False)):
+        rows[f"omega {path}"] = lambda e=exact: pc.sum_snr_omega(slope, scen, use_exact=e)
+        rows[f"pl {path}"] = lambda e=exact: pc.sum_snr_pl(slope, scen, model, use_exact=e)
+        rows[f"phi {path}"] = lambda e=exact: pc.sum_snr_phi(slope, scen, *pair, use_exact=e)
+        rows[f"combined {path}"] = lambda e=exact: pc.sum_snr_combined(
+            slope, scen, model, *pair, use_exact=e)
+    rows["pl affine least_squares"] = lambda: pc.sum_snr_pl(
+        slope, scen, model, use_exact=False, fit="least_squares")
+    return rows
+
+
+def main() -> int:
+    print(f"phasecomb from {pc.__file__}", file=sys.stderr)
+    rows = calls()
+    width = max(map(len, rows))
+    print(f"{'call':{width}}  us_per_call")
+    for label, fn in rows.items():
+        fn()  # the first call fills the pattern pair's kept invariants
+        best = min(timeit.repeat(fn, number=CALLS, repeat=REPEATS)) / CALLS
+        print(f"{label:{width}}  {best * 1e6:11.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
