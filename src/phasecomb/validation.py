@@ -18,7 +18,8 @@ from .errors import PositivityViolation, ValidityViolation
 TWO_PI = 2.0 * math.pi
 Y_SCAN_GRID = 100_000  # grid size of the brute-force search over the offset y
 _SCAN_CHUNK = 1 << 14  # grid points per scan chunk: its cos, sin and value rows stay in cache
-_SCAN_BURSTS = 256  # bursts per slice of the per-burst sums
+_SCAN_BLOCK = 1 << 10  # grid points per sub-block that the scan's bound keeps or skips
+_SCAN_BURSTS = 256  # bursts per slice of the per-burst sums and bounds
 
 
 @dataclass(frozen=True)
@@ -34,30 +35,53 @@ def worst_case_y_scan(weights, phases, n_grid: int = Y_SCAN_GRID):
     floats for one burst.  Packets run along the first axis and further axes
     hold independent bursts, as in `snr.min_cross_term`.  The grid is walked in
     chunks of `_SCAN_CHUNK` points: cos/sin of a chunk are taken once, then each
-    burst scans the chunk as one contiguous row, so memory stays bounded in both
-    the grid and the bursts."""
+    burst scans its kept range of the chunk as one contiguous row, so memory
+    stays bounded in both the grid and the bursts.  A burst's sum
+    g(y) = C cos y + S sin y has a grid point within step/2 of its minimum
+    -hypot(C, S), so the scan's minimum is at most -hypot(C, S) cos(step/2).  A
+    sub-block of `_SCAN_BLOCK` points with middle m and half-width h is skipped
+    only when g(m) - |g'(m)| h - (|C| + |S|) h^2 / 2, a lower bound of g on it,
+    exceeds that ceiling plus a rounding slack of 1e-12 (|C| + |S|) + 1e-300, so
+    the result is the exhaustive scan's bit for bit; a NaN or infinite sum skips
+    nothing."""
+    if isinstance(n_grid, bool) or not isinstance(n_grid, (int, np.integer)) or n_grid < 1:
+        raise ValueError(f"n_grid {n_grid!r} is not a positive integer")
     w, p = (np.moveaxis(a, 0, -1) for a in np.broadcast_arrays(weights, phases))
     shape = p.shape[:-1]
     w, p = (a.reshape(math.prod(shape), a.shape[-1]) for a in (w, p))
+    step = TWO_PI / n_grid
+    h = 0.5 * (_SCAN_BLOCK - 1) * step  # half-width of a sub-block
+    mid = (np.arange(0, n_grid, _SCAN_BLOCK) + 0.5 * (_SCAN_BLOCK - 1)) * step
+    cm, sm = np.cos(mid), np.sin(mid)
     cw, sw = np.empty((2, len(p)))
+    keep = np.empty((len(p), mid.size), dtype=bool)
     for s in range(0, len(p), _SCAN_BURSTS):  # C order: each burst sums as a 1-D burst
         part = slice(s, s + _SCAN_BURSTS)
-        cw[part], sw[part] = (np.sum(np.multiply(f(p[part]), w[part], order="C"), axis=-1)
-                              for f in (np.cos, np.sin))
+        c, d = (np.sum(np.multiply(f(p[part]), w[part], order="C"), axis=-1)
+                for f in (np.cos, np.sin))
+        cw[part], sw[part] = c, d
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound skips nothing
+            a = np.abs(c) + np.abs(d)
+            ceil = 1e-12 * a + 1e-300 - np.hypot(c, d) * math.cos(0.5 * step) + 0.5 * h * h * a
+            c, d = c[:, None], d[:, None]
+            keep[part] = ~(c * cm + d * sm - h * np.abs(d * cm - c * sm) > ceil[:, None])
     best, best_i = np.full(len(p), np.inf), np.zeros(len(p), dtype=int)
-    rows = np.empty((4, min(n_grid, _SCAN_CHUNK)))  # cos y, sin y, values, scratch
+    rows = np.empty((4, min(n_grid, _SCAN_CHUNK)))  # cos y, sin y, values, y then scratch
     for start in range(0, n_grid, _SCAN_CHUNK):
-        y = np.arange(start, min(start + _SCAN_CHUNK, n_grid), dtype=float)
-        y *= TWO_PI / n_grid
-        cy, sy, v, t = rows[:, :y.size]
-        np.cos(y, out=cy), np.sin(y, out=sy)
-        for b in range(len(p)):
-            np.multiply(cy, cw[b], out=v)
-            v += np.multiply(sy, sw[b], out=t)
-            i = v.argmin()
-            if v[i] < best[b]:  # strict, so a tie keeps the earlier grid point
-                best[b], best_i[b] = v[i], i + start
-    y_min, best = (best_i * (TWO_PI / n_grid)).reshape(shape), best.reshape(shape)
+        cy, sy, v, t = rows[:, :min(_SCAN_CHUNK, n_grid - start)]
+        np.multiply(np.arange(start, start + t.size), step, out=t)
+        np.cos(t, out=cy), np.sin(t, out=sy)
+        kept = keep[:, start // _SCAN_BLOCK:(start + _SCAN_CHUNK) // _SCAN_BLOCK]
+        lo = kept.argmax(axis=1) * _SCAN_BLOCK  # the kept range: first to last kept sub-block
+        hi = (kept.shape[1] - kept[:, ::-1].argmax(axis=1)) * _SCAN_BLOCK
+        for b in np.flatnonzero(kept.any(axis=1)):
+            r = slice(lo[b], hi[b])
+            vb = np.multiply(cy[r], cw[b], out=v[r])
+            vb += np.multiply(sy[r], sw[b], out=t[r])
+            i = vb.argmin()
+            if vb[i] < best[b]:  # strict, so a tie keeps the earlier grid point
+                best[b], best_i[b] = vb[i], i + lo[b] + start
+    y_min, best = (best_i * step).reshape(shape), best.reshape(shape)
     return (float(y_min), float(best)) if not shape else (y_min, best)
 
 
@@ -195,23 +219,19 @@ def _check_ratio_monotone(rng: np.random.Generator) -> CheckResult:
 def _check_design_rule_dominance(rng: np.random.Generator) -> CheckResult:
     t = 0.1
     ok = True
+    sweep = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 801)
     for n in range(3, 13):
         slopes = snr.optimal_slope_set(n, t)
         chosen = snr.design_rule_alpha_star(n, t)
-        sweep = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 801)
-        worst = []
-        for s in slopes:
-            centers = 0.5 * s * t - sweep
-            # a drift of 0.5*s*t - q*pi inside the sweep lands the phase
-            # argument exactly on the pole q*pi, so add those hits exactly
-            extra = [q * math.pi for q in (-1, 0, 1)
-                     if abs(0.5 * s * t - q * math.pi) <= math.pi / 2 - 0.01]
-            x = np.concatenate([centers, extra]) if extra else centers
-            worst.append(float(np.max(snr.loss(x, 1.0, 0.0, n))))
-        best = min(worst)
+        # a drift of 0.5*s*t - q*pi inside the sweep lands the phase argument
+        # exactly on the pole q*pi, so each slope's drifts add those hits exactly
+        xs = [np.concatenate([0.5 * s * t - sweep, [q * math.pi for q in (-1, 0, 1)
+              if abs(0.5 * s * t - q * math.pi) <= math.pi / 2 - 0.01]]) for s in slopes]
+        starts = np.cumsum([0] + [x.size for x in xs[:-1]])
+        worst = np.maximum.reduceat(snr.loss(np.concatenate(xs), 1.0, 0.0, n), starts)
         for s in chosen:
             idx = int(np.argmin(np.abs(slopes - s)))
-            ok = ok and worst[idx] <= best + 1e-12
+            ok = ok and worst[idx] <= worst.min() + 1e-12
     return CheckResult("design_rule_minimizes_worst_loss", ok,
                        "chosen slopes attain the minimax over the drift sweep")
 

@@ -500,6 +500,81 @@ def test_scan_finds_minima_on_chunk_edges(n_grid):
         assert np.array([y[b], j[b]]).tobytes() == np.array(ref).tobytes(), b
 
 
+BLOCK = validation._SCAN_BLOCK  # grid points the scan's bound keeps or skips at a time
+
+
+def assert_matches_one_burst_scans(w, theta, n_grid):
+    y, j = worst_case_y_scan(w, theta, n_grid=n_grid)
+    for b in range(w.shape[1]):
+        ref = one_burst_scan(w[:, b], theta[:, b], n_grid)
+        assert np.array([y[b], j[b]]).tobytes() == np.array(ref).tobytes(), b
+    return y, j
+
+
+@pytest.mark.parametrize("n_grid", [100_000, 2 * CHUNK + 123])
+def test_pruned_scan_finds_minima_on_sub_block_edges(n_grid):
+    # one packet puts its minimum on a grid point on either side of a
+    # sub-block or chunk boundary, on the first and the last point; then a
+    # shade to either side of each, where the nearest point still holds it
+    step = TWO_PI / n_grid
+    targets = np.array([0, 1, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, CHUNK - 1, CHUNK,
+                        CHUNK + BLOCK - 1, CHUNK + BLOCK, n_grid - BLOCK, n_grid - 2, n_grid - 1])
+    for shift in (0.0, 0.49, -0.49):
+        theta = ((targets + shift) * step - math.pi)[np.newaxis]
+        y, _ = assert_matches_one_burst_scans(np.ones_like(theta), theta, n_grid)
+        assert np.array_equal(y, targets * step)
+
+
+@pytest.mark.parametrize("k", [BLOCK - 1, CHUNK - 1, 5 * BLOCK - 1])
+def test_pruned_scan_keeps_the_first_of_a_tie_across_a_sub_block_boundary(k):
+    # a one-packet minimum halfway between the last point of a sub-block and
+    # the first of the next, nudged until both points score the same float
+    n_grid = 100_000
+    step = TWO_PI / n_grid
+    pair = np.arange(k, k + 2) * step
+    for nudge in range(400):
+        theta = np.array([[(k + 0.5) * step - math.pi + nudge * 1e-15]])
+        cw, sw = float(np.cos(theta[0, 0])), float(np.sin(theta[0, 0]))
+        values = cw * np.cos(pair) + sw * np.sin(pair)
+        if values[0] == values[1]:
+            break
+    else:
+        pytest.fail("no exact tie found")
+    y, j = assert_matches_one_burst_scans(np.ones_like(theta), theta, n_grid)
+    assert (y[0], j[0]) == (k * step, values[0])  # the earlier point of the tie
+
+
+@pytest.mark.parametrize("amplitude", [1e-300, 1e300, 1e-310, 5e-324])
+def test_pruned_scan_is_exact_at_extreme_amplitudes(amplitude):
+    # the bound's slack is relative, plus 1e-300 for subnormal sums
+    rng = np.random.default_rng(17)
+    w = amplitude * rng.uniform(0.1, 1.0, (12, 40))
+    theta = rng.uniform(-50.0, 50.0, (12, 40))
+    assert_matches_one_burst_scans(w, theta, 100_000)
+
+
+def test_pruned_scan_of_zero_and_non_finite_bursts():
+    w, theta = np.ones((1, 7)), np.full((1, 7), 0.3)
+    w[0, 0] = 0.0  # every grid point ties at zero: the first one is reported
+    w[0, 1], w[0, 2], theta[0, 2] = math.nan, math.inf, 0.0
+    w[0, 3], w[0, 4], theta[0, 5], theta[0, 6] = math.inf, -math.inf, math.nan, math.inf
+    with np.errstate(invalid="ignore"):
+        y, j = worst_case_y_scan(w, theta)
+    assert (y[0], j[0]) == (0.0, 0.0)
+    assert np.all(y[1:] == 0.0) and np.all(j[1:] == math.inf)  # no finite value is scanned
+    # a sum that overflows to -inf has no finite bound, so nothing is skipped
+    w, theta = np.full((2, 1), 1e308), np.full((2, 1), 3.0)
+    with np.errstate(over="ignore"):
+        y, j = assert_matches_one_burst_scans(w, theta, 100_000)
+    assert (y[0], j[0]) == (0.0, -math.inf)
+
+
+@pytest.mark.parametrize("n_grid", [0, -5, 10.5, True])
+def test_scan_rejects_a_grid_size_that_is_not_a_positive_int(n_grid):
+    with pytest.raises(ValueError, match="n_grid"):
+        worst_case_y_scan(np.ones(3), np.zeros(3), n_grid=n_grid)
+
+
 @pytest.mark.parametrize("shift, passes", [(0.0, True), (1e-9, False), (-1e-8, False),
                                            (-1e-9, True)])
 def test_scan_check_catches_a_shifted_closed_form(monkeypatch, shift, passes):

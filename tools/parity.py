@@ -37,8 +37,13 @@ raised.  The calls are
   name of whatever it raises (any exception), or what it returns;
 * the brute-force ``validation.worst_case_y_scan`` on seeded bursts (one
   burst; 200 zero-padded bursts shaped like the battery's scan check; 2,000
-  bursts on a 5,000-point grid): every y and value; and the pass flag and
-  detail string of each ``run_validation(42)`` check;
+  bursts on a 5,000-point grid) and on edge bursts for its pruning bound, on
+  a 100,000-point and a 32,891-point grid (minima on and between the points
+  beside sub-block and chunk boundaries, at the first and the last point;
+  sums from subnormal to 1e300; zero, NaN and infinite bursts): every y and
+  value; and for ``run_validation(seed)``, seeds 0-9 and 42, every y and value
+  of the scan the battery makes and the pass flag and detail string of each
+  check;
 * the public helpers the evaluators call or route around, on the same
   scenarios: ``least_squares_fit`` on 1-D data and by column,
   ``taylor_omega`` and ``taylor_pathgain``, each model's slope and
@@ -368,8 +373,28 @@ def _helpers(pc, model):
                 pc.check_optimality, slopes, 5, 0.1)
 
 
+def _edge_bursts(n_grid: int):
+    """One-packet and scaled bursts that sit where the scan's pruning bound is
+    tightest: minima on and halfway between the grid points on both sides of
+    sub-block (1,024 points) and chunk (16,384 points) boundaries, at the
+    first and the last point; sums from subnormal to 1e300; an all-zero
+    burst; NaN and infinite weights and phases."""
+    step = 2.0 * math.pi / n_grid
+    edges = np.array([0, 1, 1023, 1024, 2047, 2048, 16383, 16384, 17407, 17408,
+                      n_grid - 1025, n_grid - 1024, n_grid - 2, n_grid - 1])
+    shifts = np.array([0.0, 0.5, -0.5, 0.49, -0.49, 1e-9])
+    theta = ((edges[:, None] + shifts).ravel() * step - math.pi)[None]
+    rng = np.random.default_rng(SEED + n_grid)
+    yield "edges", (np.ones_like(theta), theta)
+    for amplitude in (5e-324, 1e-310, 1e-300, 1e300):
+        yield f"amplitude {amplitude:g}", (amplitude * rng.uniform(0.1, 1.0, (12, 30)),
+                                           rng.uniform(-50.0, 50.0, (12, 30)))
+    yield "zero and non-finite", (np.array([[0.0, math.nan, math.inf, -math.inf, 1.0, 1.0]]),
+                                  np.array([[0.3, 0.3, 1.0, 0.3, math.nan, math.inf]]))
+
+
 def _scans(pc):
-    from phasecomb.validation import worst_case_y_scan
+    from phasecomb import validation
     rng = np.random.default_rng(SEED)
     cases = {"1 burst": (rng.uniform(0.1, 2.0, 12), rng.uniform(-50.0, 50.0, 12), 100_000)}
     weights, phases = np.zeros((2, 15, 200))  # packet counts 2 to 15, zero-padded
@@ -380,11 +405,32 @@ def _scans(pc):
     cases["200 padded bursts"] = (weights, phases, 100_000)
     cases["2000 bursts"] = (rng.uniform(0.1, 2.0, (15, 2000)),
                             rng.uniform(-50.0, 50.0, (15, 2000)), 5_000)
+    for n_grid in (100_000, 2 * 16384 + 123):
+        for label, (w, p) in _edge_bursts(n_grid):
+            cases[f"{label} on {n_grid}"] = (w, p, n_grid)
     for label, (w, p, n_grid) in cases.items():
-        for name, values in zip(("y", "value"), worst_case_y_scan(w, p, n_grid)):
+        for name, values in zip(("y", "value"), validation.worst_case_y_scan(w, p, n_grid)):
             yield f"scan\t{label}\t{name}", " ".join(float(v).hex() for v in np.ravel(values))
-    for res in pc.run_validation(42):
-        yield f"validate\t{res.name}", f"{res.passed} {res.detail}"
+    scan, seen = validation.worst_case_y_scan, []
+
+    def recorded(*args):
+        seen.append(scan(*args))
+        return seen[-1]
+
+    validation.worst_case_y_scan = recorded
+    try:  # the results of the battery and of the one scan it makes, per seed
+        for seed in (*range(10), 42):
+            seen.clear()
+            results = pc.run_validation(seed)
+            (found,) = seen
+            for name, values in zip(("y", "value"), found):
+                yield f"scan\tvalidate seed={seed}\t{name}", " ".join(
+                    float(v).hex() for v in np.ravel(values))
+            for res in results:
+                key = res.name if seed == 42 else f"seed={seed}\t{res.name}"
+                yield f"validate\t{key}", f"{res.passed} {res.detail}"
+    finally:
+        validation.worst_case_y_scan = scan
 
 
 def _cli_run(cli, argv, with_env: bool) -> list[tuple[str, str]]:

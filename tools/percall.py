@@ -1,4 +1,5 @@
-"""Time one public sum_snr_* call per mode and evaluation path.
+"""Time one public sum_snr_* call per mode and evaluation path, and the
+validation battery.
 
     PYTHONPATH=src python3 tools/percall.py
 
@@ -9,7 +10,9 @@ spacing 10 wavelengths at 5.9 GHz, K 10 packets 0.1 s apart) at the design
 rule's slope, with the default pathloss model and the builtin patch pair.
 Each row is the best of REPEATS runs of CALLS calls, in microseconds per
 call: the four modes on both paths, and the pathloss mode's affine path
-with the least-squares fit.
+with the least-squares fit.  A second table gives the best of REPEATS
+single runs, in milliseconds, of ``run_validation(42)`` and of each of its
+checks on the generator that the battery hands it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import sys  # noqa: E402
 import timeit  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 import phasecomb as pc  # noqa: E402
+from phasecomb import validation  # noqa: E402
 
 REPEATS = 7
 CALLS = 3_000
@@ -58,6 +64,14 @@ def main() -> int:
         fn()  # the first call fills the pattern pair's kept invariants
         best = min(timeit.repeat(fn, number=CALLS, repeat=REPEATS)) / CALLS
         print(f"{label:{width}}  {best * 1e6:11.1f}")
+    battery = {"run_validation(42)": lambda: pc.run_validation(42)}
+    for check in validation._CHECKS:
+        battery[check.__name__] = lambda c=check: c(np.random.default_rng(42))
+    width = max(map(len, battery))
+    print(f"\n{'validation':{width}}  ms_per_run")
+    for label, fn in battery.items():
+        best = min(timeit.repeat(fn, number=1, repeat=REPEATS))
+        print(f"{label:{width}}  {best * 1e3:10.2f}")
     return 0
 
 
