@@ -133,7 +133,7 @@ def _cmd_speed_sweep(args) -> int:
         paths = tuple(p.strip() for p in args.paths.split(",") if p.strip())
     result = experiments.speed_sweep(
         args.mode, slopes, dv, base, model=model, patterns=patterns,
-        paths=paths, d_y_values=args.dy_set, t0=args.t0)
+        paths=paths, d_y_values=args.dy_set)
     result.to_csv(args.out)
     print(f"wrote {args.out} ({len(result.values)} rows)")
     for label in slopes:
@@ -244,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of slope indices q or 'star' (default '1,star')")
     p.add_argument("--paths", default="exact,affine",
                    help="evaluation paths: exact, affine or both")
-    p.add_argument("--t0", type=float, default=None,
-                   help="linearization instant [s] (default mid-burst)")
     p.add_argument("--pattern0", default="patch_front",
                    help="builtin name or CSV path (phi/combined modes)")
     p.add_argument("--pattern1", default="patch_rear")

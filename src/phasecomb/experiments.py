@@ -74,7 +74,8 @@ def loss_curve(n_packets: int, c1: float = 1.0, c2: float = 0.0,
 
 def _values(values, what: str) -> np.ndarray:
     """A caller's grid as a non-empty one-dimensional float array.  Finiteness is
-    checked per scenario, so a sweep raises what its first failing scenario raises."""
+    checked as scenarios are built: one by one in speed_sweep, which raises what
+    its first failing scenario raises, but at once for a_omega_range's whole grid."""
     grid = np.asarray(values)
     if grid.size == 0:
         raise InvalidRequest(f"empty {what} grid")
@@ -157,7 +158,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
                 model: pathloss.PathlossModel | None = None,
                 patterns: tuple[antenna.AntennaPattern, antenna.AntennaPattern] | None = None,
                 paths: tuple[str, ...] = ("exact", "affine"),
-                d_y_values=None, t0: float | None = None) -> SweepResult:
+                d_y_values=None) -> SweepResult:
     """Worst-case sum-SNR versus relative speed, in dB, per slope and path.
 
     mode is one of omega|pl|phi|combined.  Values are worst case over
@@ -185,7 +186,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     for block in _blocks(speeds, base.n_packets * slope_grid.size * dy.size):
         try:
             grid = replace(base, d_y=dy[None, None, :], delta_v=block[None, :, None])
-            terms = snr._terms(grid, mode, built, model, patterns, "taylor", t0)
+            terms = snr._terms(grid, mode, built, model, patterns, "taylor")
             worst = {path: snr._worst(terms[path], slope_grid) for path in paths}
         except (PhasecombError, ValueError):
             # raise the first failing scenario's error, not the grid's first failing check
@@ -193,7 +194,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
                 scens = [replace(base, d_y=d, delta_v=v) for d in dy]
                 for path in built:
                     for scen in scens:
-                        snr._terms(scen, mode, (path,), model, patterns, "taylor", t0)
+                        snr._terms(scen, mode, (path,), model, patterns, "taylor")
             raise
         gain, norm = terms["exact"][:2]  # gain / norm is a float in omega mode
         worst["reference"] = np.broadcast_to(gain / norm, (1, block.size, dy.size))

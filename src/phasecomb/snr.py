@@ -317,7 +317,7 @@ _FACTORS = {"omega": (True, False, False), "pl": (True, True, False),
             "phi": (False, False, True), "combined": (True, True, True)}
 
 
-def _terms(scen, mode, paths, model, patterns, fit, t0):
+def _terms(scen, mode, paths, model, patterns, fit):
     """{path: (gain, norm, weights, phases, packet times)} for each path in
     paths.  The affine path fits each factor once, the phase difference
     first, and evaluates each fit once, in its positivity check if it has one.
@@ -329,7 +329,7 @@ def _terms(scen, mode, paths, model, patterns, fit, t0):
         raise InvalidRequest(f"mode {mode!r} needs a pair of antenna patterns")
     if fit not in ("taylor", "least_squares"):
         raise ValueError(f"unknown fit method {fit!r}")
-    t0 = affine._default_t0(scen, t0)
+    t0 = affine._default_t0(scen, None)
     n = scen.n_packets
     tk = scen.packet_times()
     if has_resp:
@@ -377,29 +377,27 @@ def _worst(terms, slope):
     return (gain + min_cross_term(w, phase - slope * tk)) / norm
 
 
-def _sum_snr(slope, scen, mode, use_exact, model=None, patterns=None, fit="taylor", t0=None):
+def _sum_snr(slope, scen, mode, use_exact, model=None, patterns=None, fit="taylor"):
     scen._require_single()
     if not math.isfinite(slope):
         raise ValueError(f"slope {slope!r} is not finite")
     path = "exact" if use_exact else "affine"
-    return float(_worst(_terms(scen, mode, (path,), model, patterns, fit, t0)[path], slope))
+    return float(_worst(_terms(scen, mode, (path,), model, patterns, fit)[path], slope))
 
 
-def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *,
-                  use_exact: bool = True, t0: float | None = None) -> float:
+def sum_snr_omega(slope: float, scen: geometry.ScenarioParams, *, use_exact: bool = True) -> float:
     """Worst-case sum-SNR with only the branch phase difference varying, over
     n_packets (1.0 means no combining loss).  The exact path takes the true
-    phase difference, the affine path its linearization around t0."""
-    return _sum_snr(slope, scen, "omega", use_exact, t0=t0)
+    phase difference, the affine path its linearization at mid-burst."""
+    return _sum_snr(slope, scen, "omega", use_exact)
 
 
-def sum_snr_pl(slope: float, scen: geometry.ScenarioParams,
-               model: pathloss.PathlossModel, *, use_exact: bool = True,
-               fit: str = "taylor", t0: float | None = None) -> float:
+def sum_snr_pl(slope: float, scen: geometry.ScenarioParams, model: pathloss.PathlossModel,
+               *, use_exact: bool = True, fit: str = "taylor") -> float:
     """Worst-case sum-SNR with the mean path gain (and any phase difference)
     varying, over n_packets times the path gain at t = 0.  The affine path
-    fits the path gain by "taylor" at t0 or by "least_squares"."""
-    return _sum_snr(slope, scen, "pl", use_exact, model, fit=fit, t0=t0)
+    fits the path gain by "taylor" at mid-burst or by "least_squares"."""
+    return _sum_snr(slope, scen, "pl", use_exact, model, fit=fit)
 
 
 def sum_snr_phi(slope: float, scen: geometry.ScenarioParams,
@@ -414,9 +412,8 @@ def sum_snr_phi(slope: float, scen: geometry.ScenarioParams,
 def sum_snr_combined(slope: float, scen: geometry.ScenarioParams,
                      model: pathloss.PathlossModel,
                      pattern0: antenna.AntennaPattern,
-                     pattern1: antenna.AntennaPattern, *,
-                     use_exact: bool = True, t0: float | None = None) -> float:
+                     pattern1: antenna.AntennaPattern, *, use_exact: bool = True) -> float:
     """Worst-case sum-SNR with phase difference, path gain and AOA all varying,
     times DESIGN_SNR_SCALE.  Weights compose multiplicatively and phases
     additively; the affine path fits each factor separately (approximation)."""
-    return _sum_snr(slope, scen, "combined", use_exact, model, (pattern0, pattern1), t0=t0)
+    return _sum_snr(slope, scen, "combined", use_exact, model, (pattern0, pattern1))

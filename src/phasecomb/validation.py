@@ -42,8 +42,8 @@ def worst_case_y_scan(weights, phases, n_grid: int = Y_SCAN_GRID):
     sub-block of `_SCAN_BLOCK` points with middle m and half-width h is skipped
     only when g(m) - |g'(m)| h - (|C| + |S|) h^2 / 2, a lower bound of g on it,
     exceeds that ceiling plus a rounding slack of 1e-12 (|C| + |S|) + 1e-300, so
-    the result is the exhaustive scan's bit for bit; a NaN or infinite sum skips
-    nothing."""
+    the result is the exhaustive scan's bit for bit.  A NaN or infinite weight or
+    phase, or sums whose hypot(C, S) overflows, raise ValueError before any scan."""
     if isinstance(n_grid, bool) or not isinstance(n_grid, (int, np.integer)) or n_grid < 1:
         raise ValueError(f"n_grid {n_grid!r} is not a positive integer")
     w, p = (np.moveaxis(a, 0, -1) for a in np.broadcast_arrays(weights, phases))
@@ -57,12 +57,15 @@ def worst_case_y_scan(weights, phases, n_grid: int = Y_SCAN_GRID):
     keep = np.empty((len(p), mid.size), dtype=bool)
     for s in range(0, len(p), _SCAN_BURSTS):  # C order: each burst sums as a 1-D burst
         part = slice(s, s + _SCAN_BURSTS)
-        c, d = (np.sum(np.multiply(f(p[part]), w[part], order="C"), axis=-1)
-                for f in (np.cos, np.sin))
-        cw[part], sw[part] = c, d
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound skips nothing
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite bound skips nothing
+            c, d = (np.sum(np.multiply(f(p[part]), w[part], order="C"), axis=-1)
+                    for f in (np.cos, np.sin))
+            r = np.hypot(c, d)  # NaN or infinite if any weight, phase or sum is
+            if not np.isfinite(r).all():
+                raise ValueError("burst weights, phases and their sums must be finite")
+            cw[part], sw[part] = c, d
             a = np.abs(c) + np.abs(d)
-            ceil = 1e-12 * a + 1e-300 - np.hypot(c, d) * math.cos(0.5 * step) + 0.5 * h * h * a
+            ceil = 1e-12 * a + 1e-300 - r * math.cos(0.5 * step) + 0.5 * h * h * a
             c, d = c[:, None], d[:, None]
             keep[part] = ~(c * cm + d * sm - h * np.abs(d * cm - c * sm) > ceil[:, None])
     best, best_i = np.full(len(p), np.inf), np.zeros(len(p), dtype=int)

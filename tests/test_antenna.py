@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from phasecomb import (AntennaPattern, EmptyPattern, MalformedRow,
                        NonMonotonicAzimuth, ScenarioParams, aoa_exact,
                        builtin_pattern, combined_mean_gain, load_pattern_csv,
-                       worst_case_aoa)
-from phasecomb import antenna
+                       sum_snr_phi, worst_case_aoa)
+from phasecomb import antenna, snr
 from phasecomb.antenna import BUILTIN_PATTERNS
 
 TWO_PI = 2.0 * math.pi
@@ -342,6 +342,27 @@ def test_csv_skips_blank_lines(tmp_path):
     path.write_text("azimuth_deg,gain_dbi,phase_deg\n\n0,0,0\n\n90,3,10\n",
                     encoding="utf-8")
     assert load_pattern_csv(path).azimuth.size == 2
+
+
+def test_one_sample_pattern_is_the_same_response_everywhere(tmp_path):
+    # a single row closes on itself with no phase winding
+    path = tmp_path / "one.csv"
+    path.write_text("azimuth_deg,gain_dbi,phase_deg\n90,3,45\n", encoding="utf-8")
+    pat = load_pattern_csv(path)
+    sample = (10.0 ** 0.15, math.radians(45.0))
+    for phi in (0.0, 0.5 * math.pi, 3.0, TWO_PI - 1e-9, -7.0, 40.0):
+        assert pat.evaluate(phi) == pytest.approx(sample, rel=1e-15)
+    assert worst_case_aoa(pat, pat) == 0.0
+    # both branches alike: constant weights, so both paths score the burst
+    # at 1 - |f1(x)| / n for the half slope-offset x
+    scen = ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=11.0, delta_a=0.5, wavelength=0.05)
+    n, t = scen.n_packets, scen.t_interval
+    for q in (1.0, 5.0, 0.37):
+        slope = q * TWO_PI / (n * t)
+        want = 1.0 - abs(snr.f1(0.5 * slope * t, n)) / n
+        for use_exact in (True, False):
+            got = sum_snr_phi(slope, scen, pat, pat, use_exact=use_exact)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_csv_malformed_rows(tmp_path):

@@ -7,7 +7,8 @@ import warnings
 
 import pytest
 
-from phasecomb import cli, experiments
+from phasecomb import (PathlossModel, ScenarioParams, builtin_pattern, carrier_wavelength, cli,
+                       experiments, speed_sweep, sum_snr_combined, sum_snr_omega, sum_snr_pl)
 
 
 def run_cli(args):
@@ -244,6 +245,37 @@ def test_nonpositive_steps_exit_two_with_usage(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_no_call_or_flag_sets_the_linearization_instant(tmp_path, capsys):
+    # the affine path linearizes at mid-burst only: no sum_snr_* call, sweep or
+    # flag takes an instant that the CSV metadata would not record
+    lam = carrier_wavelength(5.9e9)
+    scen = ScenarioParams(d_x=30.0, d_y=-4.0, delta_v=0.0, delta_a=10.0 * lam, wavelength=lam)
+    pair = (builtin_pattern("patch_front"), builtin_pattern("patch_rear"))
+    calls = (lambda exact: sum_snr_omega(1.0, scen, use_exact=exact, t0=0.3),
+             lambda exact: sum_snr_pl(1.0, scen, PathlossModel(), use_exact=exact, t0=0.3),
+             lambda exact: sum_snr_combined(1.0, scen, PathlossModel(), *pair,
+                                            use_exact=exact, t0=0.3),
+             lambda exact: speed_sweep("omega", {"q1": 1.0}, [0.0], scen,
+                                       paths=("exact" if exact else "affine",), t0=0.3))
+    for call in calls:
+        for exact in (True, False):
+            with pytest.raises(TypeError, match="t0"):
+                call(exact)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["speed-sweep", "--t0", "0.2", "--out", str(out)])
+    assert exc.value.code == 2
+    # an argument that no subcommand takes is the root parser's to report
+    err = capsys.readouterr().err
+    assert err.startswith("usage: phasecomb [-h]")
+    assert "phasecomb: error: unrecognized arguments: --t0 0.2" in err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["speed-sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--t0" not in capsys.readouterr().out
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["no-such-command"])
@@ -264,13 +296,11 @@ def test_runtime_errors_exit_one(tmp_path, capsys):
     assert run_cli(["speed-sweep", "--dx", "nan", "--out", out]) == 1
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
-    # so do non-finite weights, linearization instants and pathloss fields
+    # so do non-finite weights and pathloss fields
     nan_cfg = tmp_path / "nan.json"
     nan_cfg.write_text('{"n_e": NaN}\n', encoding="utf-8")
     for argv in (["loss-curve", "--c2", "nan"], ["loss-curve", "--c2", "inf"],
                  ["loss-curve", "--c1", "inf"],
-                 ["speed-sweep", "--paths", "affine", "--t0", "nan"],
-                 ["speed-sweep", "--paths", "exact", "--t0", "nan"],
                  ["speed-sweep", "--mode", "pl", "--paths", "exact",
                   "--pathloss-config", str(nan_cfg)]):
         assert run_cli(argv + ["--out", out]) == 1, argv

@@ -10,9 +10,12 @@ the affine path, a direct resummation of the affine models and the
 paper's closed form wherever at most one weight factor drifts.
 """
 
+import inspect
 import math
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,24 +521,32 @@ def test_sweep_memory_stays_flat_as_the_speed_grid_grows():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("use_exact", [True, False], ids=["exact", "affine"])
-def test_single_calls_check_fit_t0_and_slope_on_both_paths(use_exact):
-    # the exact path reads neither fit nor t0, yet a bad one is still an error
+def test_single_calls_check_fit_and_slope_on_both_paths(use_exact):
+    # the exact path does not read fit, yet a bad one is still an error
     scen = scen_at()
     unit = TWO_PI / (scen.n_packets * scen.t_interval)
     with pytest.raises(ValueError, match="unknown fit method 'bogus'"):
         sum_snr_pl(unit, scen, MODEL, use_exact=use_exact, fit="bogus")
-    for t0 in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="t0 must be finite"):
-            sum_snr_omega(unit, scen, use_exact=use_exact, t0=t0)
-        with pytest.raises(ValueError, match="t0 must be finite"):
-            sum_snr_pl(unit, scen, MODEL, use_exact=use_exact, t0=t0)
-        with pytest.raises(ValueError, match="t0 must be finite"):
-            sum_snr_combined(unit, scen, MODEL, *PATTERNS, use_exact=use_exact, t0=t0)
     # a non-finite slope is named, never a NaN result or a conversion error
     for slope in (math.nan, math.inf, -math.inf):
         for mode in MODES:
             with pytest.raises(ValueError, match="slope .* is not finite"):
                 public_call(mode, slope, scen, use_exact)
+
+
+def test_readme_lists_the_sum_snr_signatures():
+    # "The four drift modes have one call each": each README line must name the
+    # parameters, kinds and defaults that the call has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for call in (sum_snr_omega, sum_snr_pl, sum_snr_phi, sum_snr_combined):
+        (listed,) = re.findall(rf"^\* `{call.__name__}\((.*)\)`$", readme, re.MULTILINE)
+        namespace = {}
+        exec(f"def listed({listed}): pass", namespace)  # the README's text as a signature
+        want = [(p.name, p.kind, p.default)
+                for p in inspect.signature(call).parameters.values()]
+        got = [(p.name, p.kind, p.default)
+               for p in inspect.signature(namespace["listed"]).parameters.values()]
+        assert got == want, call.__name__
 
 
 @pytest.mark.parametrize("use_exact", [True, False], ids=["exact", "affine"])

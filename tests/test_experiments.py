@@ -261,6 +261,21 @@ def test_a_omega_range_rejects_bad_input():
             a_omega_range(d_x, **kw)
 
 
+def test_a_omega_range_builds_its_whole_grid_before_it_evaluates_one():
+    # antennas 1 m apart, offset -0.5 m: at -72 km/h the transmitter starting
+    # 9 m out sits on antenna 0 at mid-burst.  Alone that distance raises
+    # DegenerateGeometry, but a NaN distance anywhere in the grid fails its
+    # construction first, with ValueError
+    kw = dict(delta_a=1.0, wavelength=LAM, d_y_values=(-0.5,), dv_max_kmh=72.0,
+              dv_step_kmh=72.0)
+    with pytest.raises(DegenerateGeometry):
+        a_omega_range([9.0], **kw)
+    for d_x in ([9.0, math.nan], [math.nan, 9.0]):
+        with pytest.raises(ValueError, match="scenario parameters must be finite") as exc:
+            a_omega_range(d_x, **kw)
+        assert exc.type is ValueError
+
+
 def test_span_is_aranges_grid_closed_at_its_maximum():
     # the values are np.arange's, bit for bit, wherever the step divides the range
     for lo, hi, step in ((-60.0, 60.0, 1.0), (1.0, 100.0, 1.0), (0.0, 0.3, 0.1),
@@ -344,11 +359,6 @@ def test_speed_sweep_rejects_bad_requests():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="slopes must be finite"):
                 speed_sweep("omega", {"q1": BASE_SLOPE, "bad": bad}, [0.0], base_scen())
-    # a non-finite linearization instant fails on either path
-    for paths in (("exact",), ("affine",)):
-        with pytest.raises(ValueError, match="t0 must be finite"):
-            speed_sweep("omega", {"q1": BASE_SLOPE}, [0.0], base_scen(), paths=paths,
-                        t0=math.nan)
 
 
 def test_offsets_reach_the_csv_metadata_as_plain_floats(tmp_path):

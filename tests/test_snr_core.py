@@ -377,6 +377,11 @@ def test_worst_case_y_severe_convention():
     assert j_min == -20.0
 
 
+def test_worst_case_y_vanishing_cross_term_convention():
+    # c2 = 0 and c1 f1 underflows: the cross term vanishes, reported as (0, 0)
+    assert worst_case_y(math.pi / 4.0, 5e-324, 0.0, 4) == (0.0, 0.0)
+
+
 def test_worst_case_y_rejects_nonpositive_mean_weight():
     with pytest.raises(NonPositiveC1):
         worst_case_y(1.0, 0.0, 0.1, 10)
@@ -554,19 +559,23 @@ def test_pruned_scan_is_exact_at_extreme_amplitudes(amplitude):
 
 
 def test_pruned_scan_of_zero_and_non_finite_bursts():
-    w, theta = np.ones((1, 7)), np.full((1, 7), 0.3)
-    w[0, 0] = 0.0  # every grid point ties at zero: the first one is reported
-    w[0, 1], w[0, 2], theta[0, 2] = math.nan, math.inf, 0.0
-    w[0, 3], w[0, 4], theta[0, 5], theta[0, 6] = math.inf, -math.inf, math.nan, math.inf
-    with np.errstate(invalid="ignore"):
-        y, j = worst_case_y_scan(w, theta)
-    assert (y[0], j[0]) == (0.0, 0.0)
-    assert np.all(y[1:] == 0.0) and np.all(j[1:] == math.inf)  # no finite value is scanned
-    # a sum that overflows to -inf has no finite bound, so nothing is skipped
-    w, theta = np.full((2, 1), 1e308), np.full((2, 1), 3.0)
-    with np.errstate(over="ignore"):
-        y, j = assert_matches_one_burst_scans(w, theta, 100_000)
-    assert (y[0], j[0]) == (0.0, -math.inf)
+    # every grid point of an all-zero burst ties at zero: the first one is reported
+    assert worst_case_y_scan(np.zeros(3), np.full(3, 0.3)) == (0.0, 0.0)
+    # a NaN or infinite weight or phase, or two packets whose sum overflows,
+    # is an error before any numpy warning, alone or stacked with finite bursts
+    bad = [([math.nan], [0.3]), ([math.inf], [0.0]), ([math.inf], [0.3]),
+           ([-math.inf], [0.3]), ([1.0], [math.nan]), ([1.0], [math.inf]),
+           ([0.0], [-math.inf]), ([1e308, 1e308], [3.0, 3.0])]
+    for w, theta in bad:
+        w, theta = np.array(w), np.array(theta)
+        # alone, and as the last of 300 bursts, past the first slice of sums
+        wide = np.ones((w.size, 300)), np.zeros((w.size, 300))
+        wide[0][:, -1], wide[1][:, -1] = w, theta
+        for args in ((w, theta), wide):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="must be finite"):
+                    worst_case_y_scan(*args)
 
 
 @pytest.mark.parametrize("n_grid", [0, -5, 10.5, True])

@@ -21,29 +21,30 @@ raised.  The calls are
   sets x 2 pattern pairs: every series value, or the error;
 * malformed requests to every driver and ``sum_snr_*`` call: empty grids
   (also an empty ``threshold_distance`` sweep), nested, scalar and
-  non-numeric distance and offset grids, no or unknown paths, no slopes,
-  an unknown fit on both paths, non-finite ``t0`` and slopes, zero and NaN
-  steps; a NaN or infinite sample time or value passed to
-  ``least_squares_fit``, ``threshold_distance`` bound and
-  ``c_ratio_squared`` w; non-integer packet counts, and counts below 2
-  passed to the kernels and weight helpers; slope-set requests with too few
-  packets or a zero, negative or NaN interval; a burst of 3 packets 1e308 s
-  apart, whose span overflows, passed to ``ScenarioParams``, every
-  ``sum_snr_*`` call, the slope-set and weight helpers; grid scenarios (array
-  ``d_x``, ``d_y`` or ``delta_v``) passed to ``sum_snr_*`` and as the base of
-  ``speed_sweep``; a pathloss model or antenna pattern left ``None`` in each
-  ``sum_snr_*`` mode that reads it and in every ``speed_sweep`` mode, also
-  beside an unknown path or an empty speed grid.  Each records the class
-  name of whatever it raises (any exception), or what it returns;
+  non-numeric distance and offset grids, no or unknown paths, no slopes, an
+  unknown fit on both paths, non-finite slopes, zero and NaN steps; a NaN or
+  infinite sample time or value passed to ``least_squares_fit``,
+  ``threshold_distance`` bound and ``c_ratio_squared`` w; non-integer packet
+  counts, and counts below 2 passed to the kernels and weight helpers;
+  slope-set requests with too few packets or a zero, negative or NaN
+  interval; a burst of 3 packets 1e308 s apart, whose span overflows, passed
+  to ``ScenarioParams``, every ``sum_snr_*`` call, the slope-set and weight
+  helpers; grid scenarios (array ``d_x``, ``d_y`` or ``delta_v``) passed to
+  ``sum_snr_*`` and as the base of ``speed_sweep``; a pathloss model or
+  antenna pattern left ``None`` in each ``sum_snr_*`` mode that reads it and
+  in every ``speed_sweep`` mode, also beside an unknown path or an empty
+  speed grid.  Each records the class name of whatever it raises (any
+  exception), or what it returns;
 * the brute-force ``validation.worst_case_y_scan`` on seeded bursts (one
   burst; 200 zero-padded bursts shaped like the battery's scan check; 2,000
   bursts on a 5,000-point grid) and on edge bursts for its pruning bound, on
   a 100,000-point and a 32,891-point grid (minima on and between the points
   beside sub-block and chunk boundaries, at the first and the last point;
-  sums from subnormal to 1e300; zero, NaN and infinite bursts): every y and
-  value; and for ``run_validation(seed)``, seeds 0-9 and 42, every y and value
-  of the scan the battery makes and the pass flag and detail string of each
-  check;
+  sums from subnormal to 1e300; an all-zero burst): every y and value; on
+  both grids, one burst at a time, a NaN or infinite weight or phase and two
+  packets whose sum overflows: the outcome; and for ``run_validation(seed)``,
+  seeds 0-9 and 42, every y and value of the scan the battery makes and the
+  pass flag and detail string of each check;
 * the public helpers the evaluators call or route around, on the same
   scenarios: ``least_squares_fit`` on 1-D data and by column,
   ``taylor_omega`` and ``taylor_pathgain``, each model's slope and
@@ -89,6 +90,10 @@ GRIDS = {"d_x": np.array([30.0]), "d_y": np.array([-4.0, 4.0]),
          "delta_v": np.array([[0.0], [11.0]])}
 # a burst whose span n * T overflows although T is finite
 OVERFLOW = {"n_packets": 3, "t_interval": 1e308}
+# one burst each: a NaN or infinite weight or phase, and two packets whose sum overflows
+NON_FINITE_BURSTS = {"w=nan": ([math.nan], [0.3]), "w=inf": ([math.inf], [1.0]),
+                     "w=-inf": ([-math.inf], [0.3]), "theta=nan": ([1.0], [math.nan]),
+                     "theta=inf": ([1.0], [math.inf]), "sum=-inf": ([1e308, 1e308], [3.0, 3.0])}
 # each subcommand at its defaults, the README examples, a sweep past the
 # pathloss validity horizon, then requests that exit 2 and ones that exit 1
 CLI_REQUESTS = (
@@ -241,8 +246,6 @@ def _requests(pc, model, pairs):
               "paths=exact,bogus": dict(paths=("exact", "bogus")),
               "slopes={}": dict(slopes={}), "slope=nan": dict(slopes={"q1": math.nan}),
               "slope=inf": dict(slopes={"q1": math.inf}),
-              "t0=nan,exact": dict(paths=("exact",), t0=math.nan),
-              "t0=nan,affine": dict(paths=("affine",), t0=math.nan),
               **_malformed("d_y", "d_y_values"),
               "model=None": dict(model=None), "patterns=None": dict(patterns=None),
               "patterns=(p,None)": dict(patterns=(pair[0], None)),
@@ -261,13 +264,6 @@ def _requests(pc, model, pairs):
         path = "exact" if exact else "affine"
         yield f"request\tsum_snr_pl\t{path}\tfit=bogus", _outcome(
             pc.sum_snr_pl, unit, scen, model, use_exact=exact, fit="bogus")
-        for t0 in (math.nan, math.inf):
-            yield f"request\tsum_snr_omega\t{path}\tt0={t0!r}", _outcome(
-                pc.sum_snr_omega, unit, scen, use_exact=exact, t0=t0)
-            yield f"request\tsum_snr_pl\t{path}\tt0={t0!r}", _outcome(
-                pc.sum_snr_pl, unit, scen, model, use_exact=exact, t0=t0)
-            yield f"request\tsum_snr_combined\t{path}\tt0={t0!r}", _outcome(
-                pc.sum_snr_combined, unit, scen, model, *pair, use_exact=exact, t0=t0)
         calls = {"omega": (pc.sum_snr_omega, ()), "pl": (pc.sum_snr_pl, (model,)),
                  "phi": (pc.sum_snr_phi, pair), "combined": (pc.sum_snr_combined,
                                                              (model, *pair))}
@@ -378,7 +374,7 @@ def _edge_bursts(n_grid: int):
     tightest: minima on and halfway between the grid points on both sides of
     sub-block (1,024 points) and chunk (16,384 points) boundaries, at the
     first and the last point; sums from subnormal to 1e300; an all-zero
-    burst; NaN and infinite weights and phases."""
+    burst."""
     step = 2.0 * math.pi / n_grid
     edges = np.array([0, 1, 1023, 1024, 2047, 2048, 16383, 16384, 17407, 17408,
                       n_grid - 1025, n_grid - 1024, n_grid - 2, n_grid - 1])
@@ -389,8 +385,7 @@ def _edge_bursts(n_grid: int):
     for amplitude in (5e-324, 1e-310, 1e-300, 1e300):
         yield f"amplitude {amplitude:g}", (amplitude * rng.uniform(0.1, 1.0, (12, 30)),
                                            rng.uniform(-50.0, 50.0, (12, 30)))
-    yield "zero and non-finite", (np.array([[0.0, math.nan, math.inf, -math.inf, 1.0, 1.0]]),
-                                  np.array([[0.3, 0.3, 1.0, 0.3, math.nan, math.inf]]))
+    yield "zero", (np.array([0.0]), np.array([0.3]))
 
 
 def _scans(pc):
@@ -411,6 +406,10 @@ def _scans(pc):
     for label, (w, p, n_grid) in cases.items():
         for name, values in zip(("y", "value"), validation.worst_case_y_scan(w, p, n_grid)):
             yield f"scan\t{label}\t{name}", " ".join(float(v).hex() for v in np.ravel(values))
+    for n_grid in (100_000, 2 * 16384 + 123):
+        for label, (w, p) in NON_FINITE_BURSTS.items():
+            yield f"scan\t{label} on {n_grid}\toutcome", _outcome(
+                validation.worst_case_y_scan, np.array(w), np.array(p), n_grid)
     scan, seen = validation.worst_case_y_scan, []
 
     def recorded(*args):
