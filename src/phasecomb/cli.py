@@ -10,6 +10,7 @@ SI.  Exit codes: 0 success, 1 runtime or validation failure, 2 usage
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -134,6 +135,12 @@ def _cmd_speed_sweep(args) -> int:
     result = experiments.speed_sweep(
         args.mode, slopes, dv, base, model=model, patterns=patterns,
         paths=paths, d_y_values=args.dy_set)
+    # the patterns and pathloss model the sweep read, which the library's
+    # metadata leaves out
+    if uses_resp:
+        result.metadata.update(pattern0=args.pattern0, pattern1=args.pattern1)
+    if uses_pl:
+        result.metadata["pathloss_model"] = dataclasses.asdict(model)
     result.to_csv(args.out)
     print(f"wrote {args.out} ({len(result.values)} rows)")
     for label in slopes:

@@ -100,7 +100,7 @@ def _blocks(values: np.ndarray, cells: int) -> list[np.ndarray]:
     """values split into consecutive blocks of at least one value, each within
     _BLOCK_CELLS array elements when one value spans cells of them."""
     rows = max(1, _BLOCK_CELLS // cells)
-    return np.split(values, range(rows, values.size, rows))
+    return [values[i:i + rows] for i in range(0, values.size, rows)]
 
 
 def a_omega_range(d_x_values, *, delta_a: float, wavelength: float,
@@ -168,16 +168,18 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     if mode not in snr._FACTORS:
         raise ValueError(f"unknown sweep mode {mode!r}")
     base._require_single()
-    for path in paths:
+    for i, path in enumerate(paths):
         if path not in ("exact", "affine"):
             raise InvalidRequest(f"unknown evaluation path {path!r}")
+        if path in paths[:i]:
+            raise InvalidRequest(f"evaluation path {path!r} named twice")
     if not (paths and slopes):
         raise InvalidRequest("no evaluation paths" if not paths else "no slopes")
     dv_kmh_values = _values(dv_kmh_values, "speed")
     dy = _values((base.d_y,) if d_y_values is None else d_y_values, "offset")
     speeds = geometry.kmh_to_mps(dv_kmh_values)
     built = tuple(dict.fromkeys((*paths, "exact")))
-    slope_grid = np.array([float(v) for v in slopes.values()])[:, None, None]
+    slope_grid = np.array([_slope(label, v) for label, v in slopes.items()])[:, None, None]
     if not np.all(np.isfinite(slope_grid)):
         raise ValueError("slopes must be finite")
     # each block's grid is sampled once for every slope; its leading axis of
@@ -187,7 +189,7 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
         try:
             grid = replace(base, d_y=dy[None, None, :], delta_v=block[None, :, None])
             terms = snr._terms(grid, mode, built, model, patterns, "taylor")
-            worst = {path: snr._worst(terms[path], slope_grid) for path in paths}
+            worst = [snr._worst(terms[path], slope_grid) for path in paths]
         except (PhasecombError, ValueError):
             # raise the first failing scenario's error, not the grid's first failing check
             for v in block:
@@ -197,12 +199,12 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
                         snr._terms(scen, mode, (path,), model, patterns, "taylor")
             raise
         gain, norm = terms["exact"][:2]  # gain / norm is a float in omega mode
-        worst["reference"] = np.broadcast_to(gain / norm, (1, block.size, dy.size))
-        blocks.append({key: value.min(axis=-1) for key, value in worst.items()})
-    db = {key: _to_db(np.concatenate([b[key] for b in blocks], axis=-1)) for key in blocks[0]}
-    series = {f"{label}_{path}_db": db[path][i]
-              for i, label in enumerate(slopes) for path in paths}
-    series["reference_db"] = db["reference"][0]
+        worst.append(np.broadcast_to(gain / norm, (1, block.size, dy.size)))
+        blocks.append(np.concatenate(worst).min(axis=-1))
+    db = _to_db(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-1))
+    series = {f"{label}_{path}_db": db[j * len(slopes) + i]
+              for i, label in enumerate(slopes) for j, path in enumerate(paths)}
+    series["reference_db"] = db[-1]
 
     metadata: dict[str, object] = {
         "mode": mode, "d_x_m": base.d_x, "d_y_values_m": dy.tolist(),
@@ -212,16 +214,24 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
     }
     if mode == "combined":
         metadata["affine_path"] = "composed per-factor fits (approximation)"
-    # a straight pass is farthest from the array at a burst end and the widest offset
-    reach = np.hypot(np.abs(base.d_x + speeds[:, None] * base.packet_times()[[0, -1]]).max(),
-                     np.abs(dy).max())
-    if snr._FACTORS[mode][1] and reach > model.validity_m:
-        metadata["pl_validity_exceeded"] = True
-        warnings.warn(
-            f"sweep reaches {reach:.1f} m, past the pathloss "
-            f"validity horizon {model.validity_m:.1f} m", stacklevel=2)
+    if snr._FACTORS[mode][1]:
+        # a straight pass is farthest from the array at a burst end and the widest offset
+        reach = np.hypot(np.abs(base.d_x + speeds[:, None] * base.packet_times()[[0, -1]]).max(),
+                         np.abs(dy).max())
+        if reach > model.validity_m:
+            metadata["pl_validity_exceeded"] = True
+            warnings.warn(f"sweep reaches {reach:.1f} m, past the pathloss "
+                          f"validity horizon {model.validity_m:.1f} m", stacklevel=2)
     return SweepResult(name=f"speed_sweep_{mode}", independent="delta_v_kmh",
                        values=dv_kmh_values, series=series, metadata=metadata)
+
+
+def _slope(label: str, value) -> float:
+    """A slope as a float, or a ValueError naming it if it is no real scalar."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"slope {label!r} is not a real number: {value!r}") from None
 
 
 def _to_db(v):

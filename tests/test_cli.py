@@ -191,6 +191,32 @@ def test_speed_sweep_paths_both_alias(tmp_path, capsys):
     assert "q1_exact_db" in header and "q1_affine_db" in header
 
 
+def metadata_lines(path):
+    return [l for l in path.read_text(encoding="utf-8").splitlines() if l.startswith("#")]
+
+
+def test_speed_sweep_metadata_records_patterns_and_pathloss_model(tmp_path, capsys):
+    config = tmp_path / "pathloss.json"
+    config.write_text('{"n_e": 3.0}', encoding="utf-8")
+    args = ["speed-sweep", "--dv-min", "-20", "--dv-max", "20", "--dv-step", "20"]
+    runs = {"phi": ["--mode", "phi"], "phi_cardioid": ["--mode", "phi", "--pattern0", "cardioid"],
+            "pl": ["--mode", "pl"], "pl_config": ["--mode", "pl", "--pathloss-config", str(config)],
+            "omega": [], "omega_extras": ["--pattern0", "cardioid",
+                                          "--pathloss-config", str(config)]}
+    out = {name: tmp_path / f"{name}.csv" for name in runs}
+    for name, extra in runs.items():
+        assert run_cli(args + extra + ["--out", str(out[name])]) == 0
+    capsys.readouterr()
+    assert metadata_lines(out["phi"]) != metadata_lines(out["phi_cardioid"])
+    assert "# pattern0: cardioid" in metadata_lines(out["phi_cardioid"])
+    assert "# pattern1: patch_rear" in metadata_lines(out["phi"])
+    assert metadata_lines(out["pl"]) != metadata_lines(out["pl_config"])
+    assert "'exponent': 3.0" in metadata_lines(out["pl_config"])[-1]
+    # omega mode reads neither input and records neither
+    assert out["omega"].read_bytes() == out["omega_extras"].read_bytes()
+    assert not any("pattern" in l for l in metadata_lines(out["omega"]))
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
@@ -217,6 +243,7 @@ def test_speed_sweep_paths_both_alias(tmp_path, capsys):
     (["speed-sweep", "--slopes", "0"], "slope index 0 outside 1..9"),
     (["speed-sweep", "--slopes", "junk"], "neither an integer index nor 'star'"),
     (["speed-sweep", "--paths", "bogus"], "unknown evaluation path 'bogus'"),
+    (["speed-sweep", "--paths", "exact,exact"], "evaluation path 'exact' named twice"),
     (["speed-sweep", "--paths", ","], "no evaluation paths"),
     (["speed-sweep", "--paths", " , "], "no evaluation paths"),
     (["speed-sweep", "--slopes", ","], "no slopes"),
@@ -228,7 +255,7 @@ def test_speed_sweep_paths_both_alias(tmp_path, capsys):
         "design-rule-K", "speed-sweep-seed", "speed-sweep-empty-dv",
         "a-omega-empty-dx", "a-omega-empty-dv", "validate-seed",
         "loss-curve-empty-x", "loss-curve-step-pi", "slopes-zero", "slopes-junk",
-        "paths-bogus", "paths-comma", "paths-spaced-comma", "slopes-comma",
+        "paths-bogus", "paths-twice", "paths-comma", "paths-spaced-comma", "slopes-comma",
         "dy-set-empty", "loss-curve-T", "pl-losses-fc-ghz"])
 def test_nonpositive_steps_exit_two_with_usage(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"

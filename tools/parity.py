@@ -21,8 +21,9 @@ raised.  The calls are
   sets x 2 pattern pairs: every series value, or the error;
 * malformed requests to every driver and ``sum_snr_*`` call: empty grids
   (also an empty ``threshold_distance`` sweep), nested, scalar and
-  non-numeric distance and offset grids, no or unknown paths, no slopes, an
-  unknown fit on both paths, non-finite slopes, zero and NaN steps; a NaN or
+  non-numeric distance and offset grids, no, unknown or repeated paths, no
+  slopes, an unknown fit on both paths, non-finite slopes and slopes that are
+  no real number (an array or ``None``), zero and NaN steps; a NaN or
   infinite sample time or value passed to ``least_squares_fit``,
   ``threshold_distance`` bound and ``c_ratio_squared`` w; non-integer packet
   counts, and counts below 2 passed to the kernels and weight helpers;
@@ -108,7 +109,8 @@ CLI_REQUESTS = (
     ("pl-losses", "--dx", "30", "--dv", "60"), ("validate", "--seed", "42"),
     ("speed-sweep", "--mode", "pl", "--dx", "170"),
     ("no-such-command",), ("loss-curve", "--step", "0"), ("speed-sweep", "--slopes", "junk"),
-    ("speed-sweep", "--dy-set"), ("a-omega-range", "--dx-min", "50", "--dx-max", "10"),
+    ("speed-sweep", "--dy-set"), ("speed-sweep", "--paths", "exact,exact"),
+    ("a-omega-range", "--dx-min", "50", "--dx-max", "10"),
     ("speed-sweep", "--dx", "nan"), ("speed-sweep", "--mode", "phi", "--pattern0", "missing.csv"),
     ("pl-losses", "--pathloss-config", "missing.json"),
 )
@@ -244,8 +246,11 @@ def _requests(pc, model, pairs):
     sweeps = {"dv=[]": dict(dv_kmh_values=[]), "d_y=()": dict(d_y_values=()),
               "paths=()": dict(paths=()), "paths=bogus": dict(paths=("bogus",)),
               "paths=exact,bogus": dict(paths=("exact", "bogus")),
+              "paths=exact,exact": dict(paths=("exact", "exact")),
               "slopes={}": dict(slopes={}), "slope=nan": dict(slopes={"q1": math.nan}),
               "slope=inf": dict(slopes={"q1": math.inf}),
+              "slope=[6.28]": dict(slopes={"q1": np.array([6.28])}),
+              "slope=None": dict(slopes={"q1": None}),
               **_malformed("d_y", "d_y_values"),
               "model=None": dict(model=None), "patterns=None": dict(patterns=None),
               "patterns=(p,None)": dict(patterns=(pair[0], None)),

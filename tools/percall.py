@@ -1,5 +1,5 @@
-"""Time one public sum_snr_* call per mode and evaluation path, and the
-validation battery.
+"""Time one public sum_snr_* call per mode and evaluation path, one
+speed_sweep job per mode, and the validation battery.
 
     PYTHONPATH=src python3 tools/percall.py
 
@@ -10,9 +10,12 @@ spacing 10 wavelengths at 5.9 GHz, K 10 packets 0.1 s apart) at the design
 rule's slope, with the default pathloss model and the builtin patch pair.
 Each row is the best of REPEATS runs of CALLS calls, in microseconds per
 call: the four modes on both paths, and the pathloss mode's affine path
-with the least-squares fit.  A second table gives the best of REPEATS
-single runs, in milliseconds, of ``run_validation(42)`` and of each of its
-checks on the generator that the battery hands it.
+with the least-squares fit.  A second table gives, in microseconds per
+job, the best of REPEATS runs of SWEEP_CALLS ``speed_sweep`` jobs per mode
+at the shape of a perfbench ``sweeps`` job: the scenario above at d_x 50 m,
+4 speeds, 2 offsets, slopes q1 and q5, both paths.  A third table gives the
+best of REPEATS single runs, in milliseconds, of ``run_validation(42)`` and
+of each of its checks on the generator that the battery hands it.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from phasecomb import validation  # noqa: E402
 
 REPEATS = 7
 CALLS = 3_000
+SWEEP_CALLS = 300
 
 
 def calls() -> dict[str, object]:
@@ -55,6 +59,20 @@ def calls() -> dict[str, object]:
     return rows
 
 
+def sweeps() -> dict[str, object]:
+    """Zero-argument speed_sweep jobs by mode."""
+    lam = pc.carrier_wavelength(5.9e9)
+    base = pc.ScenarioParams(d_x=50.0, d_y=0.0, delta_v=0.0, delta_a=10.0 * lam,
+                             wavelength=lam, n_packets=10, t_interval=0.1)
+    unit = 2.0 * np.pi / (base.n_packets * base.t_interval)
+    job = dict(slopes={"q1": unit, "q5": 5.0 * unit}, dv_kmh_values=[-45.0, -15.0, 15.0, 45.0],
+               base=base, model=pc.PathlossModel(), paths=("exact", "affine"),
+               patterns=(pc.builtin_pattern("patch_front"), pc.builtin_pattern("patch_rear")),
+               d_y_values=(-4.0, 1.5))
+    return {f"speed_sweep {mode}": lambda m=mode: pc.speed_sweep(m, **job)
+            for mode in ("omega", "pl", "phi", "combined")}
+
+
 def main() -> int:
     print(f"phasecomb from {pc.__file__}", file=sys.stderr)
     rows = calls()
@@ -64,6 +82,13 @@ def main() -> int:
         fn()  # the first call fills the pattern pair's kept invariants
         best = min(timeit.repeat(fn, number=CALLS, repeat=REPEATS)) / CALLS
         print(f"{label:{width}}  {best * 1e6:11.1f}")
+    jobs = sweeps()
+    width = max(map(len, jobs))
+    print(f"\n{'sweep':{width}}  us_per_job")
+    for label, fn in jobs.items():
+        fn()
+        best = min(timeit.repeat(fn, number=SWEEP_CALLS, repeat=REPEATS)) / SWEEP_CALLS
+        print(f"{label:{width}}  {best * 1e6:10.1f}")
     battery = {"run_validation(42)": lambda: pc.run_validation(42)}
     for check in validation._CHECKS:
         battery[check.__name__] = lambda c=check: c(np.random.default_rng(42))
