@@ -630,14 +630,6 @@ def test_sweep_rejects_a_path_named_twice(mode):
                         patterns=PATTERNS, paths=paths)
 
 
-@pytest.mark.parametrize("slope", [np.array([TWO_PI]), None, [TWO_PI], "fast", 1j],
-                         ids=["array", "None", "list", "str", "complex"])
-def test_sweep_names_a_slope_that_is_no_real_number(slope):
-    with pytest.raises(ValueError, match="slope 'bad' is not a real number") as exc:
-        speed_sweep("omega", {"q1": TWO_PI, "bad": slope}, [0.0], scen_at())
-    assert type(exc.value) is ValueError
-
-
 def test_phi_mode_rejects_a_pair_with_zero_gain_at_the_worst_case_aoa(tmp_path):
     # an all-zero pair, and a common null written as a -inf dBi row
     null = tmp_path / "null.csv"
