@@ -228,7 +228,9 @@ def speed_sweep(mode: str, slopes: dict[str, float], dv_kmh_values,
 
 def _slope(label: str, value) -> float:
     """A slope as a float, or a ValueError naming it if it is no real scalar."""
-    try:
+    try:  # float() alone would also read a numeric string or bytes, and a bool as 0 or 1
+        if isinstance(value, (str, bytes, bytearray, bool, np.bool_)):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"slope {label!r} is not a real number: {value!r}") from None

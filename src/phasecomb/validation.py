@@ -20,6 +20,7 @@ Y_SCAN_GRID = 100_000  # grid size of the brute-force search over the offset y
 _SCAN_CHUNK = 1 << 14  # grid points per scan chunk: its cos, sin and value rows stay in cache
 _SCAN_BLOCK = 1 << 10  # grid points per sub-block that the scan's bound keeps or skips
 _SCAN_BURSTS = 256  # bursts per slice of the per-burst sums and bounds
+_X_RANGE = (1e-6, math.pi - 1e-6)  # x draws: |sin x| >= sin(1e-6) clears snr.X_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,18 +89,17 @@ def worst_case_y_scan(weights, phases, n_grid: int = Y_SCAN_GRID):
     return (float(y_min), float(best)) if not shape else (y_min, best)
 
 
-def _sample_x(rng: np.random.Generator, size: int) -> np.ndarray:
-    # Uniform over (0, pi); |sin x| >= sin(1e-6) clears the snr.X_TOL = 1e-9 pole band.
-    return rng.uniform(1e-6, math.pi - 1e-6, size)
-
-
-def _sample_weights(rng: np.random.Generator, n: int, t: float) -> tuple[float, float]:
-    # Positive per-packet weights: intercept b > 0 and slope/intercept ratio
-    # inside the admissible region w > -1 / ((n-1) t).
+def _sample_affine(rng: np.random.Generator, t: float, with_y: bool = False) -> tuple:
+    """One draw (n, x, y, a, b, c1, c2): a packet count, an x off the poles, an
+    offset y if asked for (else None) and positive weights b + a t_k: intercept
+    b > 0 and slope/intercept ratio inside the admissible region w > -1 / ((n-1) t)."""
+    n = int(rng.integers(2, 16))
+    x = rng.uniform(*_X_RANGE)
+    y = rng.uniform(0.0, TWO_PI) if with_y else None
     b = rng.uniform(0.2, 5.0)
     edge = 1.0 / ((n - 1) * t)
-    w = rng.uniform(-0.99 * edge, 4.0 * edge)
-    return w * b, b
+    a = rng.uniform(-0.99 * edge, 4.0 * edge) * b
+    return n, x, y, a, b, *snr.affine_coefficients(a, b, n, t)
 
 
 def _sample_scenario(rng: np.random.Generator, d_x_min: float) -> geometry.ScenarioParams:
@@ -111,32 +111,30 @@ def _sample_scenario(rng: np.random.Generator, d_x_min: float) -> geometry.Scena
 
 def _check_closed_form_vs_direct(rng: np.random.Generator) -> CheckResult:
     t = 0.1
-    worst = 0.0
+    by_n: dict[int, list] = {}
     for _ in range(200):
-        n = int(rng.integers(2, 16))
-        x = float(_sample_x(rng, 1)[0])
-        y = float(rng.uniform(0.0, TWO_PI))
-        a, b = _sample_weights(rng, n, t)
-        c1, c2 = snr.affine_coefficients(a, b, n, t)
-        tk = np.arange(n) * t
-        direct = float(np.sum((b + a * tk) * np.cos(y - 2.0 * x * np.arange(n))))
-        worst = max(worst, abs(direct - snr.j_affine(x, y, c1, c2, n)))
+        n, x, y, a, b, c1, c2 = _sample_affine(rng, t, with_y=True)
+        by_n.setdefault(n, []).append((x, y, a, b, snr.j_affine(x, y, c1, c2, n)))
+    worst = 0.0
+    for n, draws in by_n.items():  # C-ordered (draws, n) rows: each sums as one burst
+        x, y, a, b, closed = (np.array(v)[:, None] for v in zip(*draws))
+        k = np.arange(n)
+        direct = np.sum((b + a * (k * t)) * np.cos(y - 2.0 * x * k), axis=-1, keepdims=True)
+        worst = max(worst, float(np.max(np.abs(direct - closed))))
     return CheckResult("closed_form_matches_direct_sum", worst < 1e-10,
                        f"max abs deviation {worst:.3e} over 200 draws")
 
 
 def _check_worst_y_vs_scan(rng: np.random.Generator) -> CheckResult:
     t = 0.1
-    weights, phases = np.zeros((2, 15, 200))  # bursts zero-padded to 15 packets
-    j_closed, bound = np.zeros((2, 200))
-    for i in range(200):
-        n = int(rng.integers(2, 16))
-        x = float(_sample_x(rng, 1)[0])
-        a, b = _sample_weights(rng, n, t)
-        c1, c2 = snr.affine_coefficients(a, b, n, t)
-        j_closed[i] = snr.worst_case_y(x, c1, c2, n)[1]
-        bound[i] = 2.0 * (TWO_PI / Y_SCAN_GRID) ** 2 * c1 * n
-        weights[:n, i], phases[:n, i] = b + a * np.arange(n) * t, 2.0 * x * np.arange(n)
+    draws = []
+    for _ in range(200):
+        n, x, _, a, b, c1, c2 = _sample_affine(rng, t)
+        draws.append((n, x, a, b, c1, snr.worst_case_y(x, c1, c2, n)[1]))
+    n, x, a, b, c1, j_closed = np.array(draws).T
+    k = np.arange(15)[:, None]  # bursts zero-padded to 15 packets
+    weights, phases = np.where(k < n, [b + a * k * t, 2.0 * x * k], 0.0)
+    bound = 2.0 * (TWO_PI / Y_SCAN_GRID) ** 2 * c1 * n
     gap = worst_case_y_scan(weights, phases)[1] - j_closed  # scan can only overshoot
     ok = bool(np.all((-1e-12 <= gap) & (gap <= bound)))
     return CheckResult("worst_case_y_matches_grid_scan", ok,
@@ -148,7 +146,7 @@ def _check_f2_is_f1_derivative(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _ in range(300):
         n = int(rng.integers(2, 16))
-        x = float(_sample_x(rng, 1)[0])
+        x = rng.uniform(*_X_RANGE)
         if abs(math.sin(x + h)) < 1e-8 or abs(math.sin(x - h)) < 1e-8:
             continue
         fd = (snr.f1(x + h, n) - snr.f1(x - h, n)) / (2.0 * h)
@@ -161,7 +159,7 @@ def _check_f2_is_f1_derivative(rng: np.random.Generator) -> CheckResult:
 def _check_loss_range_and_sets(rng: np.random.Generator) -> CheckResult:
     ok = True
     for n in (2, 3, 5, 10, 13):
-        x = _sample_x(rng, 400)
+        x = rng.uniform(*_X_RANGE, 400)
         vals = snr.loss(x, 1.0, 0.0, n)
         ok = ok and bool(np.all(vals >= 0.0) and np.all(vals <= 1.0 + 1e-12))
         for q in range(1, n):
@@ -177,7 +175,7 @@ def _check_loss_range_and_sets(rng: np.random.Generator) -> CheckResult:
 def _check_loss_symmetries(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for n in (2, 5, 10, 11):
-        x = _sample_x(rng, 200)
+        x = rng.uniform(*_X_RANGE, 200)
         base = snr.loss(x, 1.0, 0.3 / max(1, n - 1), n)
         shifted = snr.loss(x + math.pi, 1.0, 0.3 / max(1, n - 1), n)
         mirrored = snr.loss(math.pi - x, 1.0, 0.3 / max(1, n - 1), n)
@@ -191,10 +189,7 @@ def _check_bound_order(rng: np.random.Generator) -> CheckResult:
     t = 0.1
     by_n: dict[int, list] = {}
     for _ in range(100):
-        n = int(rng.integers(2, 16))
-        x = float(_sample_x(rng, 1)[0])
-        a, b = _sample_weights(rng, n, t)
-        c1, c2 = snr.affine_coefficients(a, b, n, t)
+        n, x, _, a, b, c1, c2 = _sample_affine(rng, t)
         by_n.setdefault(n, []).append((x, snr.loss(x, c1, c2, n)))
     ok = True
     for n, draws in by_n.items():  # one envelope evaluation per packet count
@@ -268,10 +263,12 @@ def _check_taylor_slopes(rng: np.random.Generator) -> CheckResult:
             continue
         done += 1
         om = affine.taylor_omega(scen, t0)
-        fd = (geometry.omega_exact(scen, t0 + h) - geometry.omega_exact(scen, t0 - h)) / (2 * h)
+        pair = t0 + np.array([h, -h])  # t0 - h is t0 + (-h) bit for bit
+        fd = float(np.subtract(*geometry.omega_exact(scen, pair)) / (2 * h))
         worst = max(worst, abs(om.slope - fd) / max(1.0, abs(fd)))
-        fd = (pl.mean_path_gain(model, geometry.transmitter_distance(scen, t0 + h))
-              - pl.mean_path_gain(model, geometry.transmitter_distance(scen, t0 - h))) / (2 * h)
+        # the gain one distance at a time: its power rounds apart on an array
+        dp, dm = geometry.transmitter_distance(scen, pair)
+        fd = (pl.mean_path_gain(model, dp) - pl.mean_path_gain(model, dm)) / (2 * h)
         worst = max(worst, abs(pg.slope - fd) / max(1e-12, abs(fd)))
     return CheckResult("taylor_slopes_match_finite_difference", worst < 1e-4,
                        f"max relative error {worst:.3e}")

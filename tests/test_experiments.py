@@ -360,7 +360,8 @@ def test_speed_sweep_rejects_bad_requests():
             with pytest.raises(ValueError, match="slopes must be finite"):
                 speed_sweep("omega", {"q1": BASE_SLOPE, "bad": bad}, [0.0], base_scen())
     # so is a slope that is no real scalar, named by its label
-    for bad in (np.array([BASE_SLOPE]), None, [BASE_SLOPE], "fast", 1j):
+    for bad in (np.array([BASE_SLOPE]), None, [BASE_SLOPE], "fast", 1j, str(BASE_SLOPE),
+                str(BASE_SLOPE).encode(), True, np.bool_(True)):
         with pytest.raises(ValueError, match="slope 'bad' is not a real number") as exc:
             speed_sweep("omega", {"q1": BASE_SLOPE, "bad": bad}, [0.0], base_scen())
         assert type(exc.value) is ValueError

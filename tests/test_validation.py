@@ -38,6 +38,62 @@ def test_validate_output_is_pinned_byte_for_byte(capsys):
     assert cli.main(["validate", "--seed", "42"]) == 0
     assert capsys.readouterr().out == VALIDATE_SEED_42
 
+# the other seeds the battery test runs, byte for byte, so a check that draws
+# or sums differently shows on them too
+VALIDATE_OTHER_SEEDS = {
+    0: (
+        "PASS closed_form_matches_direct_sum: max abs deviation 5.045e-13 over 200 draws\n"
+        "PASS worst_case_y_matches_grid_scan: worst margin to curvature bound -4.786e-09\n"
+        "PASS f2_matches_f1_finite_difference: max mixed-tolerance error 2.946e-10\n"
+        "PASS loss_in_unit_interval_and_sets: range [0,1]; zero-loss and severe sets classified\n"
+        "PASS loss_periodic_and_symmetric: max deviation 2.498e-15 (period pi, mirror at pi/2)\n"
+        "PASS loss_between_envelope_bounds: lower <= loss <= upper on admissible weights\n"
+        "PASS weight_ratio_monotone: (c2/c1)^2 falls on (-edge, 0], rises on [0, inf)\n"
+        "PASS design_rule_minimizes_worst_loss: chosen slopes attain the minimax over the drift sweep\n"
+        "PASS omega_antisymmetric_and_wavelength_scaled: max deviation 0.000e+00\n"
+        "PASS taylor_slopes_match_finite_difference: max relative error 1.044e-07\n"
+        "PASS interval_bound_dominates_loss: ceiling 1/(n sin(pi/n)) holds on [pi/n, (n-1)pi/n]\n"
+        "PASS slope_floor_symmetry: q vs n-q asymmetry 3.109e-15\n"
+        "12/12 checks passed (seed 0)\n"
+    ),
+    7: (
+        "PASS closed_form_matches_direct_sum: max abs deviation 3.837e-13 over 200 draws\n"
+        "PASS worst_case_y_matches_grid_scan: worst margin to curvature bound -1.554e-08\n"
+        "PASS f2_matches_f1_finite_difference: max mixed-tolerance error 2.572e-10\n"
+        "PASS loss_in_unit_interval_and_sets: range [0,1]; zero-loss and severe sets classified\n"
+        "PASS loss_periodic_and_symmetric: max deviation 2.442e-15 (period pi, mirror at pi/2)\n"
+        "PASS loss_between_envelope_bounds: lower <= loss <= upper on admissible weights\n"
+        "PASS weight_ratio_monotone: (c2/c1)^2 falls on (-edge, 0], rises on [0, inf)\n"
+        "PASS design_rule_minimizes_worst_loss: chosen slopes attain the minimax over the drift sweep\n"
+        "PASS omega_antisymmetric_and_wavelength_scaled: max deviation 0.000e+00\n"
+        "PASS taylor_slopes_match_finite_difference: max relative error 8.618e-08\n"
+        "PASS interval_bound_dominates_loss: ceiling 1/(n sin(pi/n)) holds on [pi/n, (n-1)pi/n]\n"
+        "PASS slope_floor_symmetry: q vs n-q asymmetry 3.109e-15\n"
+        "12/12 checks passed (seed 7)\n"
+    ),
+    12345: (
+        "PASS closed_form_matches_direct_sum: max abs deviation 1.634e-13 over 200 draws\n"
+        "PASS worst_case_y_matches_grid_scan: worst margin to curvature bound -1.198e-08\n"
+        "PASS f2_matches_f1_finite_difference: max mixed-tolerance error 2.297e-10\n"
+        "PASS loss_in_unit_interval_and_sets: range [0,1]; zero-loss and severe sets classified\n"
+        "PASS loss_periodic_and_symmetric: max deviation 2.665e-15 (period pi, mirror at pi/2)\n"
+        "PASS loss_between_envelope_bounds: lower <= loss <= upper on admissible weights\n"
+        "PASS weight_ratio_monotone: (c2/c1)^2 falls on (-edge, 0], rises on [0, inf)\n"
+        "PASS design_rule_minimizes_worst_loss: chosen slopes attain the minimax over the drift sweep\n"
+        "PASS omega_antisymmetric_and_wavelength_scaled: max deviation 0.000e+00\n"
+        "PASS taylor_slopes_match_finite_difference: max relative error 1.100e-07\n"
+        "PASS interval_bound_dominates_loss: ceiling 1/(n sin(pi/n)) holds on [pi/n, (n-1)pi/n]\n"
+        "PASS slope_floor_symmetry: q vs n-q asymmetry 3.109e-15\n"
+        "12/12 checks passed (seed 12345)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VALIDATE_OTHER_SEEDS))
+def test_validate_output_is_pinned_for_other_seeds(capsys, seed):
+    assert cli.main(["validate", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == VALIDATE_OTHER_SEEDS[seed]
+
 
 def test_battery_reports_details():
     for res in run_validation(seed=42):
