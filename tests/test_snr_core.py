@@ -700,6 +700,31 @@ def test_loss_on_arrays_matches_scalar_everywhere():
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
+def test_constant_weight_loss_keeps_the_general_formulas_bits():
+    # with every c2 zero, of either sign, the array loss never computes f2; it
+    # must still give the general formula's bits, in its broadcast shape, and
+    # the scalar loss's bits at each float
+    q = np.arange(-3.0, 4.0) * math.pi
+    x = np.concatenate([q, q + 3e-10, q - 7e-10,  # on the poles and in the severe band
+                        q + 2e-4, q - 9e-4,  # in the f2 series band
+                        -np.linspace(0.01, 7.0, 37), [1e3 + 0.1, -2e5, 1e8 + 0.25, 1e15]])
+    for n in range(2, 17):
+        f1v, f2v, severe = _dirichlet_values(x, n)
+        for c1 in (1.3, np.full(x.shape, 0.7), np.array([[0.7], [1.3]])):
+            for c2 in (0.0, -0.0, np.zeros(x.shape), -np.zeros((2, 1))):
+                got = loss(x, c1, c2, n)
+                want = np.where(severe, 1.0, np.hypot(c1 * f1v, c2 * f2v) / (c1 * n))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                scalar = [loss(float(xi), float(c1i), float(c2i), n) for xi, c1i, c2i
+                          in zip(*(a.ravel() for a in np.broadcast_arrays(x, c1, c2)))]
+                assert np.array(scalar).tobytes() == got.tobytes()
+    # the constant-weight pass checks x and c1 as the general one does
+    with pytest.raises(NonFiniteX):
+        loss(np.array([0.3, math.nan]), 1.0, -0.0, 5)
+    with pytest.raises(NonPositiveC1):
+        loss(np.array([0.3, 0.6]), np.array([1.0, 0.0]), np.zeros(2), 5)
+
+
 def test_loss_on_arrays_rejects_nonpositive_mean_weight():
     with pytest.raises(NonPositiveC1):
         loss(np.array([0.5]), 0.0, 0.0, 10)

@@ -1,8 +1,9 @@
 """The self-check battery must pass for any seed, not just the default."""
 
+import numpy as np
 import pytest
 
-from phasecomb import cli, experiments, run_validation
+from phasecomb import cli, experiments, run_validation, snr
 
 
 @pytest.mark.parametrize("seed", [0, 7, 12345])
@@ -100,6 +101,10 @@ def test_battery_reports_details():
         assert res.detail
 
 
+def _check(name):
+    return next(r for r in run_validation(seed=42) if r.name == name)
+
+
 def test_floor_symmetry_reads_the_package_floors(monkeypatch):
     # the check must fail when the package's universal floor is not symmetric in q
     real = experiments.pl_slope_losses
@@ -110,5 +115,34 @@ def test_floor_symmetry_reads_the_package_floors(monkeypatch):
         return result
 
     monkeypatch.setattr(experiments, "pl_slope_losses", lopsided)
-    check = next(r for r in run_validation(seed=42) if r.name == "slope_floor_symmetry")
-    assert not check.passed
+    assert not _check("slope_floor_symmetry").passed
+
+
+@pytest.mark.parametrize("shift, passes", [(0.0, True), (1e-9, False), (-1e-9, False)])
+def test_direct_sum_check_reads_the_package_closed_form(monkeypatch, shift, passes):
+    # the check allows 1e-10 between the direct sums and snr.j_affine
+    exact = snr.j_affine
+    monkeypatch.setattr(snr, "j_affine", lambda *args: exact(*args) + shift)
+    assert _check("closed_form_matches_direct_sum").passed is passes
+
+
+@pytest.mark.parametrize("shift, passes", [(0.0, True), (1e-4, False)])
+def test_derivative_check_reads_the_package_f2(monkeypatch, shift, passes):
+    # the check allows a mixed error of 1e-5 between snr.f2 and a difference of snr.f1
+    exact = snr.f2
+    monkeypatch.setattr(snr, "f2", lambda x, n: exact(x, n) + shift)
+    assert _check("f2_matches_f1_finite_difference").passed is passes
+
+
+@pytest.mark.parametrize("shift, passes", [(0.0, True), (1e-4, False), (-1e-4, False)])
+def test_range_check_reads_the_constant_weight_array_loss(monkeypatch, shift, passes):
+    # only the array calls with every c2 zero move: at seed 42 their values
+    # reach within 1.1e-5 of 1 and 5.6e-5 of 0, so either shift leaves [0, 1]
+    exact = snr.loss
+
+    def shifted(x, c1, c2, n):
+        value = exact(x, c1, c2, n)
+        return value + shift if isinstance(x, np.ndarray) and not np.any(c2) else value
+
+    monkeypatch.setattr(snr, "loss", shifted)
+    assert _check("loss_in_unit_interval_and_sets").passed is passes

@@ -1,5 +1,5 @@
-"""Time one public sum_snr_* call per mode and evaluation path, one
-speed_sweep job per mode, and the validation battery.
+"""Time one public sum_snr_* call per mode and evaluation path, the array
+kernels, one speed_sweep job per mode, and the validation battery.
 
     PYTHONPATH=src python3 tools/percall.py
 
@@ -11,11 +11,15 @@ rule's slope, with the default pathloss model and the builtin patch pair.
 Each row is the best of REPEATS runs of CALLS calls, in microseconds per
 call: the four modes on both paths, and the pathloss mode's affine path
 with the least-squares fit.  A second table gives, in microseconds per
-job, the best of REPEATS runs of SWEEP_CALLS ``speed_sweep`` jobs per mode
-at the shape of a perfbench ``sweeps`` job: the scenario above at d_x 50 m,
-4 speeds, 2 offsets, slopes q1 and q5, both paths.  A third table gives the
-best of REPEATS single runs, in milliseconds, of ``run_validation(42)`` and
-of each of its checks on the generator that the battery hands it.
+call, the best of REPEATS runs of KERNEL_CALLS array-kernel calls on the
+20,001 points of [pi/10, 9 pi/10] at K 10: ``loss`` with constant weights
+(c2 = 0, which never computes f2), ``loss`` with c2 = 0.05, and
+``loss_bounds``.  A third table gives, in microseconds per job, the best
+of REPEATS runs of SWEEP_CALLS ``speed_sweep`` jobs per mode at the shape
+of a perfbench ``sweeps`` job: the scenario above at d_x 50 m, 4 speeds,
+2 offsets, slopes q1 and q5, both paths.  A fourth table gives the best of
+REPEATS single runs, in milliseconds, of ``run_validation(42)`` and of each
+of its checks on the generator that the battery hands it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from phasecomb import validation  # noqa: E402
 
 REPEATS = 7
 CALLS = 3_000
+KERNEL_CALLS = 300
 SWEEP_CALLS = 300
 
 
@@ -57,6 +62,14 @@ def calls() -> dict[str, object]:
     rows["pl affine least_squares"] = lambda: pc.sum_snr_pl(
         slope, scen, model, use_exact=False, fit="least_squares")
     return rows
+
+
+def kernels() -> dict[str, object]:
+    """Zero-argument array-kernel calls by row label."""
+    x = np.linspace(np.pi / 10, 0.9 * np.pi, 20_001)
+    return {"loss c2=0": lambda: pc.loss(x, 1.0, 0.0, 10),
+            "loss c2=0.05": lambda: pc.loss(x, 1.0, 0.05, 10),
+            "loss_bounds": lambda: pc.loss_bounds(x, 10)}
 
 
 def sweeps() -> dict[str, object]:
@@ -81,6 +94,12 @@ def main() -> int:
     for label, fn in rows.items():
         fn()  # the first call fills the pattern pair's kept invariants
         best = min(timeit.repeat(fn, number=CALLS, repeat=REPEATS)) / CALLS
+        print(f"{label:{width}}  {best * 1e6:11.1f}")
+    rows = kernels()
+    width = max(map(len, rows))
+    print(f"\n{'array kernel':{width}}  us_per_call")
+    for label, fn in rows.items():
+        best = min(timeit.repeat(fn, number=KERNEL_CALLS, repeat=REPEATS)) / KERNEL_CALLS
         print(f"{label:{width}}  {best * 1e6:11.1f}")
     jobs = sweeps()
     width = max(map(len, jobs))
