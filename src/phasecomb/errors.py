@@ -51,7 +51,8 @@ class DomainX(PhasecombError):
 
 
 class NonFiniteX(PhasecombError, ValueError):
-    """Kernel evaluated at a NaN or infinite half slope-offset x."""
+    """Kernel evaluated at a half slope-offset x that is NaN, infinite or at
+    least 2**53 in magnitude, where floats are spaced 2 apart and x holds no phase."""
 
 
 class NonPositiveC1(PhasecombError):

@@ -19,6 +19,7 @@ from . import affine, antenna, geometry, pathloss, snr
 from .errors import InvalidRequest, PhasecombError
 
 _BLOCK_CELLS = 1 << 18  # array elements a sweep evaluates at once
+_CSV_ROWS = 1 << 10  # table rows to_csv formats at once
 
 
 @dataclass
@@ -30,7 +31,11 @@ class SweepResult:
     metadata: dict[str, object] = field(default_factory=dict)
 
     def to_csv(self, path: str | os.PathLike) -> None:
-        """Write the sweep atomically: temp file in the same directory, then rename."""
+        """Write the sweep atomically: temp file in the same directory, then rename.
+        Rows are repr floats, formatted and written _CSV_ROWS at a time."""
+        columns = [np.asarray(col, dtype=float) for col in (self.values, *self.series.values())]
+        if {col.ndim for col in columns} != {1} or len({col.size for col in columns}) != 1:
+            raise ValueError(f"{self.name}: every column must be one-dimensional, of one length")
         path = os.fspath(path)
         directory = os.path.dirname(path) or "."
         os.makedirs(directory, exist_ok=True)
@@ -38,14 +43,14 @@ class SweepResult:
         for key, value in self.metadata.items():
             lines.append(f"# {key}: {value}")
         lines.append(",".join([self.independent, *self.series.keys()]))
-        columns = (np.asarray(col, dtype=float).tolist()
-                   for col in (self.values, *self.series.values()))
-        lines.extend(",".join(map(repr, row)) for row in zip(*columns, strict=True))
-        payload = "\n".join(lines) + "\n"
+        row = ",".join(["%r"] * len(columns)) + "\n"  # %r of a float is its repr
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload)
+                fh.write("\n".join(lines) + "\n")
+                for start in range(0, columns[0].size, _CSV_ROWS):
+                    chunk = np.column_stack([col[start:start + _CSV_ROWS] for col in columns])
+                    fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

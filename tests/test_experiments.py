@@ -94,6 +94,15 @@ def cell_by_cell_rows(res):
     return [",".join(repr(float(col[i])) for col in columns) for i in range(len(res.values))]
 
 
+def special_table(rows):
+    # values whose repr is easy to get wrong, cycled at a different phase in each
+    # column; 1,024 rows fill one formatting chunk exactly and 1,025 spill one row
+    special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2])
+    column = lambda shift: np.resize(np.roll(special, shift), rows)
+    return SweepResult(name="special", independent="x", values=column(0),
+                       series={"a": column(3), "b": column(5)})
+
+
 @pytest.mark.parametrize("make", [
     lambda: loss_curve(10),
     lambda: pl_slope_losses(10),
@@ -103,24 +112,45 @@ def cell_by_cell_rows(res):
                         np.arange(-60.0, 61.0, 5.0), base_scen(), paths=("affine", "exact")),
     lambda: SweepResult(name="ints", independent="q", values=np.arange(1, 4),
                         series={"count": [2, 3, 4]}),
-], ids=["loss_curve", "pl_slope_losses", "a_omega_range", "speed_sweep", "ints"])
+    *(lambda n=n: special_table(n) for n in (0, 1024, 1025)),
+], ids=["loss_curve", "pl_slope_losses", "a_omega_range", "speed_sweep", "ints",
+        "special_0", "special_1024", "special_1025"])
 def test_to_csv_rows_match_cell_by_cell_formatting(tmp_path, make):
     res = make()
     out = tmp_path / "out.csv"
     res.to_csv(out)
-    rows = out.read_text(encoding="utf-8").splitlines()[-len(res.values):]
+    lines = out.read_text(encoding="utf-8").splitlines()
+    rows = lines[len(lines) - len(res.values):]
     assert rows == cell_by_cell_rows(res)
     if res.name in ("pl_slope_losses", "ints"):  # integers still print as floats
         assert rows[0].startswith("1.0,")
 
 
-@pytest.mark.parametrize("length", [2, 4])
-def test_to_csv_rejects_a_series_of_another_length(tmp_path, length):
+@pytest.mark.parametrize("series", [np.arange(2.0), np.arange(4.0), np.ones((3, 2)), 1.0],
+                         ids=["2", "4", "2d", "0d"])
+def test_to_csv_rejects_a_series_of_another_length(tmp_path, series):
+    # a 2-D series of the right length would write list cells, a 0-d one no rows
     res = SweepResult(name="bad", independent="x", values=np.arange(3.0),
-                      series={"y": np.arange(float(length))})
+                      series={"y": series})
     with pytest.raises(ValueError):
         res.to_csv(tmp_path / "out.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_to_csv_memory_is_flat_in_the_table_length(tmp_path):
+    # the writer holds one chunk of formatted rows, not the whole table
+    # (a whole-table writer peaks near 29 MB here)
+    x = np.linspace(0.0, 1.0, 100_000)
+    res = SweepResult(name="long", independent="x", values=x,
+                      series={"a": x / 3.0, "b": x * math.pi, "c": -x})
+    tracemalloc.start()
+    try:
+        res.to_csv(tmp_path / "out.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len((tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()) == 100_002
 
 
 def test_to_csv_is_deterministic(tmp_path):

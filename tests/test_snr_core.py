@@ -112,6 +112,23 @@ def test_kernels_reject_non_finite_x(bad):
     assert issubclass(NonFiniteX, PhasecombError) and issubclass(NonFiniteX, ValueError)
 
 
+@pytest.mark.parametrize("big", [1e17, -1e17, 1e300, 2.0 ** 53])
+def test_kernels_reject_x_without_a_phase(big):
+    # from 2**53 on floats are spaced 2 apart, so x carries no phase; the
+    # kernels raise before numpy could warn (loss(1e300, ...) once read 3.7)
+    calls = (lambda x: f1(x, 5), lambda x: f2(x, 5), lambda x: loss(x, 1.0, 0.0, 5),
+             lambda x: loss(np.array([0.3, x]), 1.0, 0.05, 5),
+             lambda x: loss_bounds(x, 5), lambda x: loss_bounds(np.array([x, 0.3]), 5),
+             lambda x: j_affine(x, 0.2, 1.0, 0.1, 5), lambda x: worst_case_y(x, 1.0, 0.1, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(NonFiniteX):
+                call(big)
+    below = np.nextafter(2.0 ** 53, 0.0)
+    assert f1(below, 5) == _dirichlet_values(np.array([below]), 5)[0][0]
+
+
 @given(x=st.floats(min_value=1e-6, max_value=4.0 * math.pi),
        n=st.integers(min_value=2, max_value=30))
 def test_f1_bounded_by_packet_count(x, n):

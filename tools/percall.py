@@ -1,5 +1,6 @@
 """Time one public sum_snr_* call per mode and evaluation path, the array
-kernels, one speed_sweep job per mode, and the validation battery.
+kernels, one speed_sweep job per mode, the validation battery and the CSV
+writer.
 
     PYTHONPATH=src python3 tools/percall.py
 
@@ -19,7 +20,11 @@ of REPEATS runs of SWEEP_CALLS ``speed_sweep`` jobs per mode at the shape
 of a perfbench ``sweeps`` job: the scenario above at d_x 50 m, 4 speeds,
 2 offsets, slopes q1 and q5, both paths.  A fourth table gives the best of
 REPEATS single runs, in milliseconds, of ``run_validation(42)`` and of each
-of its checks on the generator that the battery hands it.
+of its checks on the generator that the battery hands it.  A fifth table
+gives, in milliseconds per write, the best of REPEATS runs of WRITE_CALLS
+``to_csv`` writes of ``loss_curve(10, c2=0.05)`` at x steps 1e-3 and 1e-4
+(3,141 and 31,415 rows) into a temporary directory, and the tracemalloc
+peak of one write in MB.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"  # before numpy is imported
 
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import timeit  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -42,6 +49,7 @@ REPEATS = 7
 CALLS = 3_000
 KERNEL_CALLS = 300
 SWEEP_CALLS = 300
+WRITE_CALLS = 10
 
 
 def calls() -> dict[str, object]:
@@ -86,6 +94,14 @@ def sweeps() -> dict[str, object]:
             for mode in ("omega", "pl", "phi", "combined")}
 
 
+def writes(directory: str) -> dict[str, object]:
+    """Zero-argument to_csv writes of the default loss curve by row label."""
+    out = os.path.join(directory, "loss_curve.csv")
+    tables = {f"loss_curve step {step:g}": pc.loss_curve(10, c2=0.05, x_step=step)
+              for step in (1e-3, 1e-4)}
+    return {label: lambda r=res: r.to_csv(out) for label, res in tables.items()}
+
+
 def main() -> int:
     print(f"phasecomb from {pc.__file__}", file=sys.stderr)
     rows = calls()
@@ -116,6 +132,17 @@ def main() -> int:
     for label, fn in battery.items():
         best = min(timeit.repeat(fn, number=1, repeat=REPEATS))
         print(f"{label:{width}}  {best * 1e3:10.2f}")
+    with tempfile.TemporaryDirectory() as directory:
+        rows = writes(directory)
+        width = max(map(len, rows))
+        print(f"\n{'to_csv':{width}}  ms_per_write  peak_mb")
+        for label, fn in rows.items():
+            best = min(timeit.repeat(fn, number=WRITE_CALLS, repeat=REPEATS)) / WRITE_CALLS
+            tracemalloc.start()
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            print(f"{label:{width}}  {best * 1e3:12.2f}  {peak / 1e6:7.3f}")
     return 0
 
 
