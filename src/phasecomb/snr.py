@@ -82,7 +82,7 @@ def _dirichlet(x: float, n: int) -> tuple[float, float] | None:
     f2 = s (n cos(n e) sin(e) - sin(n e) cos(e)) / sin(e)^2 at any offset e.
     """
     geometry._check_burst(n)
-    if not abs(x) < 2 ** 53:  # NaN fails it too
+    if not abs(x) < 2.0 ** 53:  # NaN fails it too
         raise NonFiniteX(f"x={x!r} is not finite or not below 2**53 in magnitude")
     # math.remainder is exact against the float value of pi; the _PI_TAIL
     # correction adds the part of pi the float drops, which would otherwise
@@ -107,7 +107,7 @@ def _pole_split(x, n: int):
     sin n e, sign), sin e set to 1 and f1 finite but meaningless where severe."""
     geometry._check_burst(n)
     x = np.asarray(x, dtype=float)
-    if not (np.abs(x) < 2 ** 53).all():
+    if not (np.abs(x) < 2.0 ** 53).all():
         raise NonFiniteX("x holds a NaN, infinite or 2**53-or-larger value")
     # fmod is exact and the fold subtractions are exact by Sterbenz, so e
     # matches the scalar math.remainder split
