@@ -98,9 +98,9 @@ def special_table(rows):
     # values whose repr is easy to get wrong, cycled at a different phase in each
     # column; 1,024 rows fill one formatting chunk exactly and 1,025 spill one row
     special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2])
-    column = lambda shift: np.resize(np.roll(special, shift), rows)
-    return SweepResult(name="special", independent="x", values=column(0),
-                       series={"a": column(3), "b": column(5)})
+    values, a, b = (np.resize(np.roll(special, shift), rows) for shift in (0, 3, 5))
+    return SweepResult(name="special", independent="x", values=values,
+                       series={"a": a, "b": b})
 
 
 @pytest.mark.parametrize("make", [
@@ -139,7 +139,7 @@ def test_to_csv_rejects_a_series_of_another_length(tmp_path, series):
 
 def test_to_csv_memory_is_flat_in_the_table_length(tmp_path):
     # the writer holds one chunk of formatted rows, not the whole table
-    # (a whole-table writer peaks near 29 MB here)
+    # (a writer that builds the whole table first peaks near 29 MB here)
     x = np.linspace(0.0, 1.0, 100_000)
     res = SweepResult(name="long", independent="x", values=x,
                       series={"a": x / 3.0, "b": x * math.pi, "c": -x})

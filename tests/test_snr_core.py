@@ -114,8 +114,8 @@ def test_kernels_reject_non_finite_x(bad):
 
 @pytest.mark.parametrize("big", [1e17, -1e17, 1e300, 2.0 ** 53])
 def test_kernels_reject_x_without_a_phase(big):
-    # from 2**53 on floats are spaced 2 apart, so x carries no phase; the
-    # kernels raise before numpy could warn (loss(1e300, ...) once read 3.7)
+    # from 2**53 on floats are spaced 2 apart, so x carries no phase (and past
+    # about 1e17 the pole offset leaves [-pi/2, pi/2]); raise before numpy warns
     calls = (lambda x: f1(x, 5), lambda x: f2(x, 5), lambda x: loss(x, 1.0, 0.0, 5),
              lambda x: loss(np.array([0.3, x]), 1.0, 0.05, 5),
              lambda x: loss_bounds(x, 5), lambda x: loss_bounds(np.array([x, 0.3]), 5),

@@ -95,7 +95,7 @@ def sweeps() -> dict[str, object]:
 
 
 def writes(directory: str) -> dict[str, object]:
-    """Zero-argument to_csv writes of the default loss curve by row label."""
+    """Zero-argument to_csv writes of loss_curve(10, c2=0.05) by row label."""
     out = os.path.join(directory, "loss_curve.csv")
     tables = {f"loss_curve step {step:g}": pc.loss_curve(10, c2=0.05, x_step=step)
               for step in (1e-3, 1e-4)}
